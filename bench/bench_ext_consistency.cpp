@@ -44,23 +44,12 @@
 
 namespace {
 
-struct Cell {
-  double completion_s = 0.0;
-  double residual = 0.0;
-  std::int64_t sweeps = 0;
-  bool converged = false;
-  std::uint64_t messages = 0;
-  std::uint64_t gr_blocks = 0;
-  double block_time_s = 0.0;
-  std::uint64_t updates_parked = 0;
-  std::uint64_t updates_flushed = 0;
-  std::uint64_t ooo_updates = 0;
-  bool deadlocked = false;
-};
+using nscc::solver::ParallelJacobiResult;
 
-Cell run(const nscc::solver::LinearSystem& sys, const std::string& model,
-         long age, nscc::rt::Network network, int processors,
-         double tolerance, std::uint64_t seed) {
+ParallelJacobiResult run(const nscc::solver::LinearSystem& sys,
+                         const std::string& model, long age,
+                         nscc::rt::Network network, int processors,
+                         double tolerance, std::uint64_t seed) {
   nscc::solver::ParallelJacobiConfig cfg;
   cfg.mode = age == 0 ? nscc::dsm::Mode::kSynchronous
                       : nscc::dsm::Mode::kPartialAsync;
@@ -76,20 +65,7 @@ Cell run(const nscc::solver::LinearSystem& sys, const std::string& model,
   nscc::rt::MachineConfig machine;
   machine.network = network;
 
-  const auto r = nscc::solver::run_parallel_jacobi(sys, cfg, machine);
-  Cell cell;
-  cell.completion_s = nscc::sim::to_seconds(r.completion_time);
-  cell.residual = r.residual;
-  cell.sweeps = r.sweeps;
-  cell.converged = r.converged;
-  cell.messages = r.messages_sent;
-  cell.gr_blocks = r.global_read_blocks;
-  cell.block_time_s = nscc::sim::to_seconds(r.global_read_block_time);
-  cell.updates_parked = r.updates_parked;
-  cell.updates_flushed = r.updates_flushed;
-  cell.ooo_updates = r.ooo_updates;
-  cell.deadlocked = r.deadlocked;
-  return cell;
+  return nscc::solver::run_parallel_jacobi(sys, cfg, machine);
 }
 
 }  // namespace
@@ -127,7 +103,7 @@ int main(int argc, char** argv) {
   for (const auto& [net_name, network] : networks) {
     for (const auto& model : models) {
       for (long age : ages) {
-        const Cell cell =
+        const ParallelJacobiResult cell =
             run(sys, model, age, network, processors, tolerance, seed);
         const std::string label =
             age == 0 ? "sync" : "age" + std::to_string(age);
@@ -137,13 +113,13 @@ int main(int argc, char** argv) {
             .cell(net_name)
             .cell(model)
             .cell(label + (cell.deadlocked ? " (DEADLOCK)" : ""))
-            .cell(cell.completion_s, 2)
+            .cell(nscc::sim::to_seconds(cell.completion_time), 2)
             .cell(residual)
             .cell(cell.sweeps)
             .cell(cell.converged ? "yes" : "NO")
-            .cell(cell.messages)
-            .cell(cell.gr_blocks)
-            .cell(cell.block_time_s, 2)
+            .cell(cell.messages_sent)
+            .cell(cell.global_read_blocks)
+            .cell(nscc::sim::to_seconds(cell.global_read_block_time), 2)
             .cell(cell.updates_parked)
             .cell(cell.updates_flushed)
             .cell(cell.ooo_updates);
@@ -161,13 +137,14 @@ int main(int argc, char** argv) {
                                   ? 1.0
                                   : 0.0}};
         rec.stats = {
-            {"completion_s", cell.completion_s},
+            {"completion_s", nscc::sim::to_seconds(cell.completion_time)},
             {"residual", cell.residual},
             {"sweeps", static_cast<double>(cell.sweeps)},
             {"converged", cell.converged ? 1.0 : 0.0},
-            {"messages", static_cast<double>(cell.messages)},
-            {"gr_blocks", static_cast<double>(cell.gr_blocks)},
-            {"block_time_s", cell.block_time_s},
+            {"messages", static_cast<double>(cell.messages_sent)},
+            {"gr_blocks", static_cast<double>(cell.global_read_blocks)},
+            {"block_time_s",
+             nscc::sim::to_seconds(cell.global_read_block_time)},
             {"updates_parked", static_cast<double>(cell.updates_parked)},
             {"updates_flushed", static_cast<double>(cell.updates_flushed)},
             {"ooo_updates", static_cast<double>(cell.ooo_updates)},

@@ -40,6 +40,7 @@
 
 #include "fault/fault.hpp"
 #include "ga/island.hpp"
+#include "harness/run_config.hpp"
 #include "harness/sweep.hpp"
 #include "obs/obs.hpp"
 #include "recovery/recovery.hpp"
@@ -48,30 +49,20 @@
 
 namespace {
 
-struct Cell {
-  double completion_s = 0.0;
-  std::uint64_t frames_lost = 0;
-  std::uint64_t retransmissions = 0;
-  std::uint64_t escalations = 0;
-  bool deadlocked = false;
-  nscc::recovery::Stats recovery;
-  std::uint64_t degraded_reads = 0;
-  std::uint64_t integrity_dropped = 0;
-  std::uint64_t sanitize_violations = 0;
-  std::uint64_t partition_drops = 0;
-  std::uint64_t partition_stale_served = 0;
-  std::uint64_t heal_frames = 0;
-  std::uint64_t diverged_locations = 0;
-  std::uint64_t reconciled_locations = 0;
-};
+using nscc::harness::MachineStats;
 
-Cell run(double loss, long age, int demes, int generations,
-         std::uint64_t seed, std::uint64_t fault_seed,
-         nscc::sim::Time read_timeout,
-         nscc::recovery::Policy policy = nscc::recovery::Policy::kNone,
-         const nscc::fault::Window* crash = nullptr, double corrupt = 0.0,
-         const nscc::fault::PartitionWindow* partition = nullptr,
-         double quorum = 0.0, bool heal = false) {
+double completion_s(const MachineStats& stats) {
+  return nscc::sim::to_seconds(stats.completion_time);
+}
+
+MachineStats run(double loss, long age, int demes, int generations,
+                 std::uint64_t seed, std::uint64_t fault_seed,
+                 nscc::sim::Time read_timeout,
+                 nscc::recovery::Policy policy = nscc::recovery::Policy::kNone,
+                 const nscc::fault::Window* crash = nullptr,
+                 double corrupt = 0.0,
+                 const nscc::fault::PartitionWindow* partition = nullptr,
+                 double quorum = 0.0, bool heal = false) {
   nscc::ga::IslandConfig cfg;
   cfg.function_id = 1;
   cfg.mode = age == 0 ? nscc::dsm::Mode::kSynchronous
@@ -104,23 +95,7 @@ Cell run(double loss, long age, int demes, int generations,
   machine.fault = plan;
   machine.transport.enabled = !plan.empty() || cfg.recovery.enabled();
 
-  const auto r = nscc::ga::run_island_ga(cfg, machine);
-  Cell cell;
-  cell.completion_s = nscc::sim::to_seconds(r.completion_time);
-  cell.frames_lost = r.frames_lost;
-  cell.retransmissions = r.retransmissions;
-  cell.escalations = r.read_escalations;
-  cell.deadlocked = r.deadlocked;
-  cell.recovery = r.recovery;
-  cell.degraded_reads = r.degraded_reads;
-  cell.integrity_dropped = r.integrity_dropped;
-  cell.sanitize_violations = r.sanitize_violations;
-  cell.partition_drops = r.partition_drops;
-  cell.partition_stale_served = r.partition_stale_served;
-  cell.heal_frames = r.heal_frames;
-  cell.diverged_locations = r.diverged_locations;
-  cell.reconciled_locations = r.reconciled_locations;
-  return cell;
+  return nscc::ga::run_island_ga(cfg, machine);
 }
 
 }  // namespace
@@ -149,7 +124,7 @@ int main(int argc, char** argv) {
   const std::vector<long> ages = {0, 10, 30};
 
   // Fault-free baselines, one per variant.
-  std::vector<Cell> base;
+  std::vector<MachineStats> base;
   for (long age : ages) {
     base.push_back(
         run(0.0, age, demes, generations, seed, fault_seed, read_timeout));
@@ -161,7 +136,7 @@ int main(int argc, char** argv) {
   for (double loss : losses) {
     for (std::size_t i = 0; i < ages.size(); ++i) {
       const long age = ages[i];
-      const Cell cell =
+      const MachineStats cell =
           loss == 0.0
               ? base[i]
               : run(loss, age, demes, generations, seed, fault_seed,
@@ -171,11 +146,11 @@ int main(int argc, char** argv) {
       table.row()
           .cell(nscc::util::format_double(loss * 100.0, 1) + " %")
           .cell(label + (cell.deadlocked ? " (DEADLOCK)" : ""))
-          .cell(cell.completion_s, 2)
-          .cell(cell.completion_s / base[i].completion_s, 3)
+          .cell(completion_s(cell), 2)
+          .cell(completion_s(cell) / completion_s(base[i]), 3)
           .cell(cell.frames_lost)
           .cell(cell.retransmissions)
-          .cell(cell.escalations);
+          .cell(cell.read_escalations);
       nscc::harness::SweepRecord rec;
       rec.workload = "ga.island";
       rec.variant = age == 0 ? "sync" : "partial";
@@ -185,12 +160,14 @@ int main(int argc, char** argv) {
       rec.params = {{"loss", loss},
                     {"demes", static_cast<double>(demes)},
                     {"generations", static_cast<double>(generations)}};
-      rec.stats = {{"completion_s", cell.completion_s},
-                   {"vs_fault_free", cell.completion_s / base[i].completion_s},
+      rec.stats = {{"completion_s", completion_s(cell)},
+                   {"vs_fault_free",
+                    completion_s(cell) / completion_s(base[i])},
                    {"frames_lost", static_cast<double>(cell.frames_lost)},
                    {"retransmissions",
                     static_cast<double>(cell.retransmissions)},
-                   {"read_escalations", static_cast<double>(cell.escalations)},
+                   {"read_escalations",
+                    static_cast<double>(cell.read_escalations)},
                    {"deadlocked", cell.deadlocked ? 1.0 : 0.0}};
       sweep.add(std::move(rec));
     }
@@ -202,7 +179,7 @@ int main(int argc, char** argv) {
   // policy.  The crash lands at 40% of the crash-free age-10 completion so
   // it scales with --demes/--generations.
   const double kCrashLoss = 0.01;
-  const double crash_at_s = 0.4 * base[1].completion_s;
+  const double crash_at_s = 0.4 * completion_s(base[1]);
   nscc::fault::Window crash;
   crash.start = static_cast<nscc::sim::Time>(
       crash_at_s * static_cast<double>(nscc::sim::kSecond));
@@ -221,14 +198,15 @@ int main(int argc, char** argv) {
   for (const auto& [pname, policy] : policies) {
     for (std::size_t i = 1; i < ages.size(); ++i) {
       const long age = ages[i];
-      const Cell cell = run(kCrashLoss, age, demes, generations, seed,
-                            fault_seed, read_timeout, policy, &crash);
+      const MachineStats cell =
+          run(kCrashLoss, age, demes, generations, seed, fault_seed,
+              read_timeout, policy, &crash);
       const std::string label = "age" + std::to_string(age);
       rtable.row()
           .cell(pname)
           .cell(label + (cell.deadlocked ? " (DEADLOCK)" : ""))
-          .cell(cell.completion_s, 2)
-          .cell(cell.completion_s / base[i].completion_s, 3)
+          .cell(completion_s(cell), 2)
+          .cell(completion_s(cell) / completion_s(base[i]), 3)
           .cell(cell.recovery.crashes)
           .cell(cell.recovery.checkpoints_taken)
           .cell(cell.recovery.restores)
@@ -248,8 +226,8 @@ int main(int argc, char** argv) {
                     {"crash_at_s", crash_at_s},
                     {"policy", static_cast<double>(policy)}};
       rec.stats = {
-          {"completion_s", cell.completion_s},
-          {"vs_crash_free", cell.completion_s / base[i].completion_s},
+          {"completion_s", completion_s(cell)},
+          {"vs_crash_free", completion_s(cell) / completion_s(base[i])},
           {"deadlocked", cell.deadlocked ? 1.0 : 0.0},
           {"crashes", static_cast<double>(cell.recovery.crashes)},
           {"checkpoints_taken",
@@ -283,18 +261,18 @@ int main(int argc, char** argv) {
   for (double corrupt : corrupts) {
     for (std::size_t i = 0; i < ages.size(); ++i) {
       const long age = ages[i];
-      const Cell cell = run(0.0, age, demes, generations, seed, fault_seed,
-                            read_timeout, nscc::recovery::Policy::kNone,
-                            nullptr, corrupt);
+      const MachineStats cell =
+          run(0.0, age, demes, generations, seed, fault_seed, read_timeout,
+              nscc::recovery::Policy::kNone, nullptr, corrupt);
       const std::string label =
           age == 0 ? "sync" : "age" + std::to_string(age);
       ctable.row()
           .cell(nscc::util::format_double(corrupt * 100.0, 1) + " %")
           .cell(label + (cell.deadlocked ? " (DEADLOCK)" : ""))
-          .cell(cell.completion_s, 2)
-          .cell(cell.completion_s / base[i].completion_s, 3)
+          .cell(completion_s(cell), 2)
+          .cell(completion_s(cell) / completion_s(base[i]), 3)
           .cell(cell.retransmissions)
-          .cell(cell.escalations)
+          .cell(cell.read_escalations)
           .cell(cell.integrity_dropped);
       nscc::harness::SweepRecord rec;
       rec.workload = "ga.island";
@@ -305,11 +283,13 @@ int main(int argc, char** argv) {
       rec.params = {{"corrupt", corrupt},
                     {"demes", static_cast<double>(demes)},
                     {"generations", static_cast<double>(generations)}};
-      rec.stats = {{"completion_s", cell.completion_s},
-                   {"vs_fault_free", cell.completion_s / base[i].completion_s},
+      rec.stats = {{"completion_s", completion_s(cell)},
+                   {"vs_fault_free",
+                    completion_s(cell) / completion_s(base[i])},
                    {"retransmissions",
                     static_cast<double>(cell.retransmissions)},
-                   {"read_escalations", static_cast<double>(cell.escalations)},
+                   {"read_escalations",
+                    static_cast<double>(cell.read_escalations)},
                    {"integrity_dropped",
                     static_cast<double>(cell.integrity_dropped)},
                    {"sanitize_violations",
@@ -328,9 +308,9 @@ int main(int argc, char** argv) {
   // divergence-bounded degraded reads instead of declaring each other dead;
   // at window end the writers republish and every diverged location
   // reconciles — `diverged` must equal `reconciled` in every cell.
-  const double part_start_s = 0.2 * base[1].completion_s;
-  const std::vector<double> part_durs_s = {0.1 * base[1].completion_s,
-                                           0.3 * base[1].completion_s};
+  const double part_start_s = 0.2 * completion_s(base[1]);
+  const std::vector<double> part_durs_s = {0.1 * completion_s(base[1]),
+                                           0.3 * completion_s(base[1])};
   const double kQuorum = 0.625;
   nscc::fault::PartitionWindow split;
   for (int node = 0; node < demes; ++node) {
@@ -352,7 +332,7 @@ int main(int argc, char** argv) {
                                      static_cast<double>(nscc::sim::kSecond));
     for (std::size_t i = 1; i < ages.size(); ++i) {
       const long age = ages[i];
-      const Cell cell =
+      const MachineStats cell =
           run(0.0, age, demes, generations, seed, fault_seed, read_timeout,
               nscc::recovery::Policy::kDegraded, nullptr, 0.0, &split,
               kQuorum, true);
@@ -360,8 +340,8 @@ int main(int argc, char** argv) {
       ptable.row()
           .cell(nscc::util::format_double(dur_s, 2))
           .cell(label + (cell.deadlocked ? " (DEADLOCK)" : ""))
-          .cell(cell.completion_s, 2)
-          .cell(cell.completion_s / base[i].completion_s, 3)
+          .cell(completion_s(cell), 2)
+          .cell(completion_s(cell) / completion_s(base[i]), 3)
           .cell(cell.partition_drops)
           .cell(cell.partition_stale_served)
           .cell(cell.heal_frames)
@@ -380,8 +360,8 @@ int main(int argc, char** argv) {
                     {"demes", static_cast<double>(demes)},
                     {"generations", static_cast<double>(generations)}};
       rec.stats = {
-          {"completion_s", cell.completion_s},
-          {"vs_fault_free", cell.completion_s / base[i].completion_s},
+          {"completion_s", completion_s(cell)},
+          {"vs_fault_free", completion_s(cell) / completion_s(base[i])},
           {"partition_drops", static_cast<double>(cell.partition_drops)},
           {"partition_stale_served",
            static_cast<double>(cell.partition_stale_served)},

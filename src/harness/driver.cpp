@@ -251,11 +251,11 @@ int drive(int argc, char** argv, const DriveOptions& options) {
           .cell(s.heal_frames)
           .cell(s.diverged_locations)
           .cell(s.reconciled_locations)
-          .cell(s.split_brain_declarations);
+          .cell(s.recovery.split_brain_declarations);
     }
     if (any_recovery) {
-      table.cell(s.crashes).cell(s.restores).cell(s.rejoins).cell(
-          s.degraded_reads);
+      table.cell(s.recovery.crashes).cell(s.restores()).cell(
+          s.recovery.rejoins).cell(s.degraded_reads);
     }
     if (any_sanitize) {
       table.cell(s.integrity_dropped).cell(s.sanitize_violations);
@@ -314,7 +314,7 @@ int drive(int argc, char** argv, const DriveOptions& options) {
     for (const auto& row : rows) {
       diverged += row.stats.diverged_locations;
       reconciled += row.stats.reconciled_locations;
-      split_brains += row.stats.split_brain_declarations;
+      split_brains += row.stats.recovery.split_brain_declarations;
     }
     if (split_brains > 0 || diverged > reconciled) {
       std::cerr << "harness: split-brain — " << split_brains

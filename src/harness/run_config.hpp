@@ -7,17 +7,22 @@
 // policy (coalescing + starvation watchdog), and background load — so a new
 // cross-cutting knob lands here once instead of in every driver.  Workload
 // configs *embed* it (by inheritance, so existing field accesses keep
-// working) and workload results convert to RunStats, the matching unified
-// result surface the shared driver and bench sweeps print and serialise.
+// working).  The result side mirrors it: MachineStats holds every
+// mechanism counter, collect() harvests them all from a finished machine,
+// workload results inherit MachineStats, and RunStats — the unified result
+// the shared driver and bench sweeps print and serialise — adds only the
+// workload's quality metric.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "dsm/shared_space.hpp"
 #include "recovery/recovery.hpp"
+#include "rt/vm.hpp"
 #include "sim/time.hpp"
 
 namespace nscc::harness {
@@ -42,10 +47,11 @@ struct RunConfig {
   recovery::Config recovery;
 };
 
-/// The unified result every workload reports: the completion/mechanism
-/// numbers every driver used to pluck from its own result struct, one
-/// workload-defined quality metric, and a tail of named extras.
-struct RunStats {
+/// Every mechanism counter the paper compares sync, async and
+/// Global_Read(age) by, harvested from the simulated machine by collect().
+/// Workload result structs inherit it (as their configs inherit RunConfig)
+/// and add only their quality fields; RunStats slices it out of them.
+struct MachineStats {
   sim::Time completion_time = 0;
   bool deadlocked = false;
   std::uint64_t messages_sent = 0;
@@ -56,21 +62,15 @@ struct RunStats {
   double mean_staleness = 0.0;
   double mean_warp = 0.0;
   /// Robustness counters (zero on a perfect network).
-  std::uint64_t frames_lost = 0;
-  std::uint64_t retransmissions = 0;
-  std::uint64_t read_escalations = 0;
+  std::uint64_t frames_lost = 0;       ///< Fault-injected wire losses.
+  std::uint64_t retransmissions = 0;   ///< Reliable-transport resends.
+  std::uint64_t read_escalations = 0;  ///< Global_Read watchdog demands.
   /// Data-integrity counters (zero unless corruption/sanitizing is on).
   std::uint64_t integrity_dropped = 0;    ///< Damaged DSM frames quarantined.
   std::uint64_t sanitize_violations = 0;  ///< Tolerance-contract violations.
   /// Crash-recovery counters (zero unless a recovery policy was active).
-  std::uint64_t crashes = 0;
-  std::uint64_t checkpoints_taken = 0;
-  std::uint64_t restores = 0;
-  std::uint64_t rejoins = 0;
-  std::uint64_t degraded_reads = 0;
-  sim::Time detection_latency = 0;  ///< Summed crash->declared-dead.
-  sim::Time recovery_latency = 0;   ///< Summed crash->respawn.
-  std::int64_t lost_iterations = 0; ///< Progress rolled back by restores.
+  recovery::Stats recovery;
+  std::uint64_t degraded_reads = 0;  ///< Reads served stale past a dead peer.
   /// Partition counters (zero unless the fault plan scheduled
   /// partition/blackhole windows).
   std::uint64_t partition_drops = 0;        ///< Frames cut by the split.
@@ -78,11 +78,31 @@ struct RunStats {
   std::uint64_t heal_frames = 0;            ///< Anti-entropy republishes.
   std::uint64_t diverged_locations = 0;     ///< Reader locations diverged.
   std::uint64_t reconciled_locations = 0;   ///< Diverged marks later healed.
-  std::uint64_t split_brain_declarations = 0;  ///< Mutual dead declarations.
   /// Consistency-model counters (zero under the default nonstrict model).
   std::uint64_t updates_parked = 0;   ///< Arrivals deferred to an acquire.
   std::uint64_t updates_flushed = 0;  ///< Parked updates applied at acquires.
   std::uint64_t ooo_updates = 0;      ///< Release stamps out of order.
+
+  /// Restarts that resumed, from a checkpoint or cold (the "restores" field).
+  [[nodiscard]] std::uint64_t restores() const noexcept {
+    return recovery.restores + recovery.cold_restarts;
+  }
+};
+
+/// Harvest every MachineStats counter from a finished run: per-task message
+/// traffic, wire losses on the active interconnect, transport resends,
+/// partition/blackhole drops, sanitizer violations, the coordinator's
+/// recovery stats (`coord` may be null), the machine-wide staleness mean,
+/// and the sum of `dsm` — one DsmStats per SharedSpace the run created.
+/// completion_time and mean_warp stay 0 and deadlocked reflects only the
+/// engine: the workload knows its own completion rule and deadlock horizon.
+[[nodiscard]] MachineStats collect(const rt::VirtualMachine& vm,
+                                   std::span<const dsm::DsmStats> dsm,
+                                   const recovery::Coordinator* coord);
+
+/// The unified result every workload reports: the machine counters, one
+/// workload-defined quality metric, and a tail of named extras.
+struct RunStats : MachineStats {
   /// The workload's own figure of merit (best fitness, posterior, residual,
   /// training loss, ...), labelled so tables and JSON stay self-describing.
   std::string quality_name = "quality";

@@ -1,8 +1,9 @@
 // The four paper workloads as harness::Workload adapters.  Each adapter
 // holds the workload's problem-size parameters as plain members (flag
 // registration reads/writes them; tests may set them directly), exposes the
-// RunConfig -> legacy-config mapping as a public build() so the parity
-// tests can inspect it, and converts the legacy result to RunStats.
+// RunConfig -> workload-config mapping as a public build() so the parity
+// tests can inspect it, and reports the workload result's MachineStats
+// slice plus its quality metric as RunStats.
 #pragma once
 
 #include <iosfwd>

@@ -271,9 +271,14 @@ class VirtualMachine {
 
   [[nodiscard]] int size() const noexcept { return config_.ntasks; }
   [[nodiscard]] Task& task(int id) { return *tasks_.at(id); }
+  [[nodiscard]] const Task& task(int id) const { return *tasks_.at(id); }
   [[nodiscard]] sim::Engine& engine() noexcept { return engine_; }
   [[nodiscard]] net::SharedBus& bus() noexcept { return bus_; }
+  [[nodiscard]] const net::SharedBus& bus() const noexcept { return bus_; }
   [[nodiscard]] net::SwitchFabric& sp2_switch() noexcept { return *switch_; }
+  [[nodiscard]] const net::SwitchFabric& sp2_switch() const noexcept {
+    return *switch_;
+  }
   /// Utilisation of whichever interconnect is active.
   [[nodiscard]] double network_utilization() const noexcept;
   [[nodiscard]] warp::WarpMeter& warp_meter() noexcept { return warp_; }
@@ -293,11 +298,17 @@ class VirtualMachine {
   [[nodiscard]] fault::FaultInjector* fault_injector() noexcept {
     return injector_.get();
   }
+  [[nodiscard]] const fault::FaultInjector* fault_injector() const noexcept {
+    return injector_.get();
+  }
   [[nodiscard]] const TransportStats& transport_stats() const noexcept {
     return transport_stats_;
   }
   /// The machine's staleness sanitizer, or nullptr when --sanitize=off.
   [[nodiscard]] sanitize::Sanitizer* sanitizer() noexcept {
+    return sanitizer_.get();
+  }
+  [[nodiscard]] const sanitize::Sanitizer* sanitizer() const noexcept {
     return sanitizer_.get();
   }
 

@@ -1,5 +1,6 @@
 // Harness-layer tests: registry behaviour, the RunConfig -> legacy-config
-// mapping of every workload adapter, and the golden parity table.
+// mapping of every workload adapter, the golden parity table, and the
+// machine counters every workload reports under faults.
 //
 // The golden table pins the exact metrics the four pre-refactor example
 // drivers printed for fixed small configs, on both interconnects.  The
@@ -11,9 +12,11 @@
 #include <memory>
 #include <string>
 
+#include "fault/fault.hpp"
 #include "harness/run_config.hpp"
 #include "harness/workload.hpp"
 #include "harness/workloads.hpp"
+#include "recovery/recovery.hpp"
 #include "rt/vm.hpp"
 
 namespace {
@@ -255,6 +258,119 @@ TEST(Golden, HarnessReproducesPreRefactorMetricsExactly) {
     EXPECT_EQ(stats.quality, row.quality);  // Exact: deterministic sim.
     EXPECT_EQ(stats.deadlocked, row.deadlocked);
   }
+}
+
+// ---- Machine counters under faults -----------------------------------------
+//
+// The golden rows run on a perfect network, so every transport, recovery,
+// partition and consistency counter in them is 0.  These runs pin those
+// counters at the harness level, where a workload that never harvested one
+// would report a silent 0.  The exact values were captured from the
+// per-application harvest that harness::collect() replaced.
+
+sim::Time seconds(double s) {
+  return static_cast<sim::Time>(s * static_cast<double>(sim::kSecond));
+}
+
+/// The golden problem sizes and seed under the partial variant.
+RunConfig partial_run(const GoldenSetup& setup, const std::string& workload) {
+  const auto variant =
+      harness::make_variant("partial", setup.partial_age(workload));
+  RunConfig run;
+  run.seed = setup.seed(workload);
+  run.mode = variant.mode;
+  run.age = variant.age;
+  run.propagation.coalesce = true;
+  return run;
+}
+
+TEST(MachineCounters, LossyEthernetReportsTransportWorkForEveryWorkload) {
+  GoldenSetup setup;
+  for (const char* name :
+       {"ga.island", "bayes.sampling", "solver.jacobi", "nn.train"}) {
+    SCOPED_TRACE(name);
+    auto* workload = setup.registry.find(name);
+    ASSERT_NE(workload, nullptr);
+    RunConfig run = partial_run(setup, name);
+    run.propagation.read_timeout = 200 * sim::kMillisecond;
+    rt::MachineConfig machine;
+    machine.network = rt::Network::kEthernet;
+    machine.fault.link.loss_prob = 0.02;
+    machine.transport.enabled = true;
+
+    const RunStats stats = workload->run(run, machine);
+    EXPECT_FALSE(stats.deadlocked);
+    EXPECT_GT(stats.bytes_sent, 0u);
+    EXPECT_GT(stats.frames_lost, 0u);
+    if (std::string(name) == "nn.train") {
+      // Gradients ride the reliable transport, so losses cost resends.
+      EXPECT_GT(stats.retransmissions, 0u);
+    }
+  }
+}
+
+TEST(MachineCounters, GaStatefulCrashUnderRejoin) {
+  GoldenSetup setup;
+  RunConfig run = partial_run(setup, "ga.island");
+  run.recovery.policy = recovery::Policy::kRejoin;
+  run.recovery.checkpoint_interval = seconds(0.1);
+  rt::MachineConfig machine;
+  machine.fault.link.loss_prob = 0.01;
+  machine.fault.nodes[1].crashes.push_back(
+      fault::Window{seconds(0.4), seconds(0.48)});
+  machine.fault.crash_semantics = fault::CrashSemantics::kStateful;
+  machine.transport.enabled = true;
+
+  const RunStats stats = setup.registry.find("ga.island")->run(run, machine);
+  EXPECT_FALSE(stats.deadlocked);
+  EXPECT_EQ(stats.recovery.crashes, 1u);
+  EXPECT_EQ(stats.recovery.checkpoints_taken, 39u);
+  EXPECT_EQ(stats.restores(), 1u);
+  EXPECT_EQ(stats.recovery.rejoins, 1u);
+  EXPECT_EQ(stats.degraded_reads, 0u);
+}
+
+TEST(MachineCounters, NnPartitionWithQuorumAndHeal) {
+  GoldenSetup setup;
+  RunConfig run = partial_run(setup, "nn.train");
+  run.propagation.partition_heal = true;
+  run.recovery.policy = recovery::Policy::kDegraded;
+  run.recovery.checkpoint_interval = seconds(0.2);
+  run.recovery.quorum_fraction = 0.6;
+  // Server plus workers 1-2 hold the majority; workers 3-4 are cut off.
+  fault::PartitionWindow split;
+  split.window = fault::Window{seconds(0.05), seconds(0.6)};
+  split.groups = {{0, 1, 2}, {3, 4}};
+  rt::MachineConfig machine;
+  machine.fault.partitions.push_back(split);
+  machine.transport.enabled = true;
+
+  const RunStats stats = setup.registry.find("nn.train")->run(run, machine);
+  EXPECT_FALSE(stats.deadlocked);
+  EXPECT_EQ(stats.partition_drops, 464u);
+  EXPECT_EQ(stats.partition_stale_served, 68u);
+  EXPECT_EQ(stats.degraded_reads, 39u);
+  // The server's anti-entropy republishes count alongside the workers'.
+  EXPECT_EQ(stats.heal_frames, 4u);
+  EXPECT_EQ(stats.diverged_locations, 2u);
+  EXPECT_EQ(stats.reconciled_locations, 2u);
+  EXPECT_EQ(stats.recovery.split_brain_declarations, 0u);
+}
+
+TEST(MachineCounters, JacobiReleaseAcquireOnLossyEthernet) {
+  GoldenSetup setup;
+  RunConfig run = partial_run(setup, "solver.jacobi");
+  run.propagation.consistency = "release-acquire";
+  run.propagation.read_timeout = 200 * sim::kMillisecond;
+  rt::MachineConfig machine;
+  machine.fault.link.loss_prob = 0.02;
+  machine.transport.enabled = true;
+
+  const RunStats stats =
+      setup.registry.find("solver.jacobi")->run(run, machine);
+  EXPECT_FALSE(stats.deadlocked);
+  EXPECT_EQ(stats.updates_parked, 65u);
+  EXPECT_EQ(stats.updates_flushed, 65u);
 }
 
 // ---- Variant parsing -------------------------------------------------------

@@ -110,7 +110,7 @@ void expect_quorum_heal_converges(nscc::harness::Workload& w,
       w.run(run, machine_for(half_split_plan(), network, true, &w, &run));
   EXPECT_FALSE(stats.deadlocked);
   EXPECT_GT(stats.partition_drops, 0u) << "the split must cut frames";
-  EXPECT_EQ(stats.split_brain_declarations, 0u)
+  EXPECT_EQ(stats.recovery.split_brain_declarations, 0u)
       << "no side holds a 0.6 quorum during a 2|2 split, so nobody may "
          "declare anybody dead";
   EXPECT_EQ(stats.diverged_locations, stats.reconciled_locations)
@@ -128,7 +128,7 @@ void expect_no_quorum_split_brains(nscc::harness::Workload& w,
       w.run(run, machine_for(half_split_plan(), network));
   EXPECT_FALSE(stats.deadlocked);
   EXPECT_GT(stats.partition_drops, 0u);
-  EXPECT_GT(stats.split_brain_declarations, 0u)
+  EXPECT_GT(stats.recovery.split_brain_declarations, 0u)
       << "without the quorum gate both sides must declare each other dead";
 }
 

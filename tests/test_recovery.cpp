@@ -99,8 +99,8 @@ TEST(Recovery, GaCrashWithoutRecoveryDeadlocks) {
       << "a mid-run stateful crash with no recovery must wedge the run";
   // No coordinator is attached under kNone, so recovery counters stay zero
   // even though the VM tore the task down.
-  EXPECT_EQ(stats.restores, 0u);
-  EXPECT_EQ(stats.rejoins, 0u);
+  EXPECT_EQ(stats.restores(), 0u);
+  EXPECT_EQ(stats.recovery.rejoins, 0u);
 }
 
 TEST(Recovery, GaDegradedReadsSurviveTheCrash) {
@@ -109,8 +109,8 @@ TEST(Recovery, GaDegradedReadsSurviveTheCrash) {
   const FaultPlan plan = crash_plan(0.4, 0.08, 1);
   const RunStats stats = ga.run(run, machine_for(plan, run));
   EXPECT_FALSE(stats.deadlocked);
-  EXPECT_EQ(stats.crashes, 1u);
-  EXPECT_EQ(stats.rejoins, 0u);
+  EXPECT_EQ(stats.recovery.crashes, 1u);
+  EXPECT_EQ(stats.recovery.rejoins, 0u);
   EXPECT_GT(stats.degraded_reads, 0u)
       << "survivors must have read past the dead producer";
 }
@@ -120,15 +120,15 @@ TEST(Recovery, GaRejoinCompletesWithin15PercentOfCrashFree) {
   const RunConfig run = recovery_run(Policy::kRejoin, 10, 7, 0.1);
   const RunStats base = ga.run(run, machine_for(FaultPlan{}, run));
   ASSERT_FALSE(base.deadlocked);
-  EXPECT_EQ(base.crashes, 0u);
+  EXPECT_EQ(base.recovery.crashes, 0u);
 
   const FaultPlan plan = crash_plan(0.4, 0.08, 1);
   const RunStats crashed = ga.run(run, machine_for(plan, run));
   ASSERT_FALSE(crashed.deadlocked);
-  EXPECT_EQ(crashed.crashes, 1u);
-  EXPECT_EQ(crashed.restores, 1u);
-  EXPECT_EQ(crashed.rejoins, 1u);
-  EXPECT_GT(crashed.checkpoints_taken, 0u);
+  EXPECT_EQ(crashed.recovery.crashes, 1u);
+  EXPECT_EQ(crashed.restores(), 1u);
+  EXPECT_EQ(crashed.recovery.rejoins, 1u);
+  EXPECT_GT(crashed.recovery.checkpoints_taken, 0u);
   EXPECT_LE(nscc::sim::to_seconds(crashed.completion_time),
             1.15 * nscc::sim::to_seconds(base.completion_time))
       << "rejoin at age 10 must land within 15% of crash-free completion";
@@ -153,7 +153,7 @@ TEST(Recovery, JacobiDegradedCompletesWithQualityLoss) {
   const FaultPlan plan = crash_plan(1.0, 0.1, 1);
   const RunStats stats = jacobi.run(run, machine_for(plan, run));
   ASSERT_FALSE(stats.deadlocked);
-  EXPECT_EQ(stats.crashes, 1u);
+  EXPECT_EQ(stats.recovery.crashes, 1u);
   EXPECT_GT(stats.degraded_reads, 0u);
   // The dead block never converges, so the final residual is orders of
   // magnitude above tolerance: the run completes but pays in quality.
@@ -169,9 +169,9 @@ TEST(Recovery, JacobiRejoinRecoversBothTimeAndQuality) {
   const FaultPlan plan = crash_plan(1.0, 0.1, 1);
   const RunStats crashed = jacobi.run(run, machine_for(plan, run));
   ASSERT_FALSE(crashed.deadlocked);
-  EXPECT_EQ(crashed.crashes, 1u);
-  EXPECT_EQ(crashed.restores, 1u);
-  EXPECT_EQ(crashed.rejoins, 1u);
+  EXPECT_EQ(crashed.recovery.crashes, 1u);
+  EXPECT_EQ(crashed.restores(), 1u);
+  EXPECT_EQ(crashed.recovery.rejoins, 1u);
   EXPECT_LE(nscc::sim::to_seconds(crashed.completion_time),
             1.15 * nscc::sim::to_seconds(base.completion_time));
   // Unlike degraded mode, the rejoined node finishes its block: the
@@ -191,13 +191,13 @@ TEST(Recovery, NnTrainingSurvivesWorkerCrash) {
   const RunConfig degraded = recovery_run(Policy::kDegraded, 2, 7, 0.2);
   const RunStats d = nn.run(degraded, machine_for(plan, degraded));
   EXPECT_FALSE(d.deadlocked);
-  EXPECT_EQ(d.crashes, 1u);
+  EXPECT_EQ(d.recovery.crashes, 1u);
 
   const RunConfig rejoin = recovery_run(Policy::kRejoin, 2, 7, 0.2);
   const RunStats r = nn.run(rejoin, machine_for(plan, rejoin));
   EXPECT_FALSE(r.deadlocked);
-  EXPECT_EQ(r.crashes, 1u);
-  EXPECT_EQ(r.rejoins, 1u);
+  EXPECT_EQ(r.recovery.crashes, 1u);
+  EXPECT_EQ(r.recovery.rejoins, 1u);
 }
 
 TEST(Recovery, BayesRejoinMatchesCrashFreeQuality) {
@@ -213,8 +213,8 @@ TEST(Recovery, BayesRejoinMatchesCrashFreeQuality) {
   const FaultPlan plan = crash_plan(2.0, 0.2, 1);
   const RunStats crashed = bayes.run(run, machine_for(plan, run));
   ASSERT_FALSE(crashed.deadlocked);
-  EXPECT_EQ(crashed.crashes, 1u);
-  EXPECT_EQ(crashed.rejoins, 1u);
+  EXPECT_EQ(crashed.recovery.crashes, 1u);
+  EXPECT_EQ(crashed.recovery.rejoins, 1u);
   // The restored checkpoint replays the exact sampler state, so the chain
   // statistic is unchanged by the crash.
   EXPECT_NEAR(crashed.quality, base.quality, 1e-6);
@@ -269,7 +269,7 @@ TEST(Recovery, CrashRecoveryRunsAreDeterministic) {
   EXPECT_EQ(a.completion_time, b.completion_time);
   EXPECT_EQ(a.messages_sent, b.messages_sent);
   EXPECT_EQ(a.quality, b.quality);
-  EXPECT_EQ(a.checkpoints_taken, b.checkpoints_taken);
+  EXPECT_EQ(a.recovery.checkpoints_taken, b.recovery.checkpoints_taken);
   EXPECT_EQ(a.degraded_reads, b.degraded_reads);
 }
 
@@ -291,9 +291,9 @@ TEST(Recovery, LossyCrashWindowsNeverEngageRecoveryMachinery) {
 
   const RunStats a = ga.run(run, machine_for(plan, run));
   EXPECT_FALSE(a.deadlocked);
-  EXPECT_EQ(a.crashes, 0u);
-  EXPECT_EQ(a.checkpoints_taken, 0u);
-  EXPECT_EQ(a.restores, 0u);
+  EXPECT_EQ(a.recovery.crashes, 0u);
+  EXPECT_EQ(a.recovery.checkpoints_taken, 0u);
+  EXPECT_EQ(a.restores(), 0u);
   EXPECT_EQ(a.degraded_reads, 0u);
 
   auto ga2 = small_ga();
@@ -316,8 +316,8 @@ TEST(Recovery, SwitchFabricSurvivesCrashDuringOutage) {
   machine.network = nscc::rt::Network::kSp2Switch;
   const RunStats stats = ga.run(run, machine);
   EXPECT_FALSE(stats.deadlocked);
-  EXPECT_EQ(stats.crashes, 1u);
-  EXPECT_EQ(stats.rejoins, 1u);
+  EXPECT_EQ(stats.recovery.crashes, 1u);
+  EXPECT_EQ(stats.recovery.rejoins, 1u);
   EXPECT_GT(stats.frames_lost, 0u)
       << "the outage window and crash must both drop frames on the fabric";
 }
