@@ -1,34 +1,29 @@
 #include "net/load_generator.hpp"
 
-#include <cmath>
-#include <functional>
-#include <memory>
-
 namespace nscc::net {
 
 LoadGenerator::LoadGenerator(sim::Engine& engine, SharedBus& bus,
                              const LoadGeneratorConfig& config)
-    : rng_(config.seed) {
+    : engine_(engine), bus_(bus), config_(config), rng_(config.seed) {
   if (config.offered_bps <= 0.0) {
     running_ = false;
     return;
   }
-  const double mean_period_s =
-      static_cast<double>(config.frame_payload_bytes) * 8.0 /
-      config.offered_bps;
-
+  mean_period_s_ = static_cast<double>(config.frame_payload_bytes) * 8.0 /
+                   config.offered_bps;
   // Self-rescheduling injection event; pure engine-context, no fiber needed.
-  auto inject = std::make_shared<std::function<void()>>();
-  *inject = [this, &engine, &bus, config, mean_period_s, inject] {
-    if (!running_) return;
-    bus.transmit(config.frame_payload_bytes, [](sim::Time) {});
-    ++frames_injected_;
-    const double period_s = config.poisson
-                                ? rng_.exponential(1.0 / mean_period_s)
-                                : mean_period_s;
-    engine.schedule(engine.now() + sim::from_seconds(period_s), *inject);
-  };
-  engine.schedule(engine.now(), *inject);
+  engine_.schedule(engine_.now(), [this] { inject(); });
+}
+
+void LoadGenerator::inject() {
+  if (!running_) return;
+  bus_.transmit(config_.frame_payload_bytes, [](sim::Time) {});
+  ++frames_injected_;
+  const double period_s = config_.poisson
+                              ? rng_.exponential(1.0 / mean_period_s_)
+                              : mean_period_s_;
+  engine_.schedule(engine_.now() + sim::from_seconds(period_s),
+                   [this] { inject(); });
 }
 
 }  // namespace nscc::net

@@ -40,6 +40,13 @@ class LoadGenerator {
   }
 
  private:
+  /// Inject one frame and schedule the next departure.
+  void inject();
+
+  sim::Engine& engine_;
+  SharedBus& bus_;
+  LoadGeneratorConfig config_;
+  double mean_period_s_ = 0.0;
   bool running_ = true;
   std::uint64_t frames_injected_ = 0;
   util::Xoshiro256 rng_;

@@ -7,10 +7,11 @@
 // the engine, the shared bus, and switch ports).
 //
 // Hot-path discipline: record() does no allocation and no formatting — it
-// copies POD into a preallocated ring buffer and `name`/arg names must be
-// string literals (they are stored as const char* and formatted only at
-// export time).  When the tracer is disabled every record call is a single
-// predicted branch.
+// copies POD into a ring buffer allocated by the first enable(true), and
+// `name`/arg names must be string literals (they are stored as const char*
+// and formatted only at export time).  When the tracer is disabled every
+// record call is a single predicted branch, and a tracer that was never
+// enabled holds no ring at all.
 //
 // Flow events ('s' start / 't' step / 'f' end) carry a machine-unique flow
 // id and render as arrows between tracks in Perfetto — the DSM stamps one
@@ -55,7 +56,8 @@ class Tracer {
 
   explicit Tracer(std::size_t capacity = 1 << 18);
 
-  void enable(bool on) noexcept { enabled_ = on; }
+  /// Turn recording on/off.  The first enable(true) allocates the ring.
+  void enable(bool on);
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }
 
   /// A span of virtual time [ts, ts+dur] on track `tid`.
@@ -130,7 +132,8 @@ class Tracer {
   int claim_tracks(int count, int preferred_base);
 
   [[nodiscard]] std::size_t size() const noexcept { return count_; }
-  [[nodiscard]] std::size_t capacity() const noexcept { return ring_.size(); }
+  /// The configured ring size, whether or not the ring is allocated yet.
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   /// Events overwritten because the ring filled (oldest are lost first).
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
 
@@ -146,8 +149,8 @@ class Tracer {
  private:
   void push(const Event& e) noexcept {
     ring_[head_] = e;
-    head_ = (head_ + 1) % ring_.size();
-    if (count_ < ring_.size()) {
+    head_ = (head_ + 1) % capacity_;
+    if (count_ < capacity_) {
       ++count_;
     } else {
       ++dropped_;
@@ -156,7 +159,8 @@ class Tracer {
 
   bool enabled_ = false;
   bool flows_ = false;
-  std::vector<Event> ring_;
+  std::size_t capacity_;
+  std::vector<Event> ring_;  ///< Empty until the first enable(true).
   std::size_t head_ = 0;   ///< Next write position.
   std::size_t count_ = 0;  ///< Valid events in the ring.
   std::uint64_t dropped_ = 0;

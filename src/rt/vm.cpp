@@ -400,8 +400,7 @@ void VirtualMachine::deliver_frame(const std::shared_ptr<TxState>& st,
   // exhausted), so on_settled reports end-to-end fate, not wire fate.
 }
 
-void VirtualMachine::settle(const std::shared_ptr<TxState>& st,
-                            bool delivered) {
+void VirtualMachine::settle(std::shared_ptr<TxState> st, bool delivered) {
   if (st->settled) return;
   st->settled = true;
   if (st->retx_timer != 0) {
@@ -568,6 +567,16 @@ VirtualMachine::VirtualMachine(MachineConfig config)
       return static_cast<double>(engine_.events_executed());
     });
     engine_.set_sampler(&sampler, config_.obs.sample_interval);
+  }
+}
+
+VirtualMachine::~VirtualMachine() {
+  // Members die in reverse declaration order, so tasks_ would be freed
+  // before engine_ unwinds the fibers still blocked in them, and those
+  // fibers' destructors (a SharedSpace unregistering its handlers) would
+  // touch freed tasks.
+  for (const auto& t : tasks_) {
+    if (t->process_ != nullptr) engine_.kill(*t->process_);
   }
 }
 

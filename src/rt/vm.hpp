@@ -210,6 +210,9 @@ class Task {
 class VirtualMachine {
  public:
   explicit VirtualMachine(MachineConfig config);
+  /// Unwinds every unfinished task (a deadlocked or cut-short run) while
+  /// the tasks and the machine its destructors may reach are still alive.
+  ~VirtualMachine();
 
   VirtualMachine(const VirtualMachine&) = delete;
   VirtualMachine& operator=(const VirtualMachine&) = delete;
@@ -340,7 +343,9 @@ class VirtualMachine {
                        bool delivered, std::uint64_t corrupt_seed);
   void deliver_frame(const std::shared_ptr<TxState>& st, sim::Time at,
                      std::uint64_t corrupt_seed);
-  void settle(const std::shared_ptr<TxState>& st, bool delivered);
+  /// Takes `st` by value: the caller's pointer may be the pending_tx_ entry
+  /// itself (the ACK path), which the erase in settle() destroys.
+  void settle(std::shared_ptr<TxState> st, bool delivered);
   void arm_retx_timer(const std::shared_ptr<TxState>& st);
   void send_ack(int from, int to, std::uint64_t seq);
   void flush_stats();

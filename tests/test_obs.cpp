@@ -253,6 +253,41 @@ TEST(Tracer, DisabledRecordsNothing) {
   EXPECT_EQ(t.size(), 0u);
 }
 
+TEST(Tracer, NeverEnabledHoldsNoEventsAndExportsValidJson) {
+  Tracer t(1 << 10);
+  EXPECT_EQ(t.size(), 0u);
+  EXPECT_EQ(t.capacity(), 1u << 10);
+  EXPECT_TRUE(t.events().empty());
+  t.set_track_name(2, "idle");
+  const std::string json = t.to_chrome_json();
+  EXPECT_TRUE(JsonChecker(json).valid()) << json;
+  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
+}
+
+TEST(Tracer, EnableAfterConstructionRecords) {
+  Tracer t(8);
+  t.instant(0, "before", 1);  // Disabled: dropped without a ring.
+  t.enable(true);
+  t.instant(0, "after", 2);
+  t.complete(1, "span", 3, 4);
+  EXPECT_EQ(t.capacity(), 8u);
+  ASSERT_EQ(t.size(), 2u);
+  const auto evs = t.events();
+  EXPECT_STREQ(evs[0].name, "after");
+  EXPECT_EQ(evs[1].dur, 4);
+}
+
+TEST(Tracer, ClearOnDisabledTracerIsSafe) {
+  Tracer t(4);
+  t.clear();
+  EXPECT_EQ(t.size(), 0u);
+  EXPECT_EQ(t.dropped(), 0u);
+  EXPECT_TRUE(t.events().empty());
+  t.enable(true);
+  t.instant(0, "e", 1);
+  EXPECT_EQ(t.size(), 1u);
+}
+
 TEST(Tracer, RingOverwritesOldest) {
   Tracer t(4);
   t.enable(true);
@@ -346,8 +381,14 @@ class ObsEndToEnd : public ::testing::Test {
   static constexpr nscc::dsm::Iteration kAge = 3;
 
   void SetUp() override {
-    trace_path_ = ::testing::TempDir() + "nscc_obs_trace.json";
-    metrics_path_ = ::testing::TempDir() + "nscc_obs_metrics.csv";
+    // One file pair per test: ctest -j runs these tests as parallel
+    // processes, and a shared name lets one test's TearDown delete (or
+    // another's run truncate) the file a sibling is reading.
+    const std::string stem =
+        ::testing::TempDir() + "nscc_obs_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    trace_path_ = stem + "_trace.json";
+    metrics_path_ = stem + "_metrics.csv";
 
     nscc::rt::MachineConfig machine;
     machine.ntasks = 2;

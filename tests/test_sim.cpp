@@ -3,6 +3,8 @@
 // detection, and teardown of unfinished fibers.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -18,12 +20,19 @@ using nscc::sim::Process;
 using nscc::sim::Time;
 
 TEST(Fiber, RunsBodyToCompletion) {
-  int steps = 0;
-  Fiber f([&] { steps = 3; });
-  EXPECT_FALSE(f.finished());
-  f.resume();
-  EXPECT_TRUE(f.finished());
-  EXPECT_EQ(steps, 3);
+  // Each body finishes on its first resume without ever yielding; control
+  // must come back to this frame, with its locals intact, every time.
+  int total = 0;
+  for (int i = 1; i <= 3; ++i) {
+    int steps = 0;
+    Fiber f([&steps, i] { steps = i; });
+    EXPECT_FALSE(f.finished());
+    f.resume();
+    EXPECT_TRUE(f.finished());
+    EXPECT_EQ(steps, i);
+    total += steps;
+  }  // Destroying a finished fiber is a no-op.
+  EXPECT_EQ(total, 6);
 }
 
 TEST(Fiber, YieldSuspendsAndResumes) {
@@ -70,6 +79,94 @@ TEST(Fiber, KillUnwindsStack) {
 TEST(Fiber, KillNeverStartedIsSafe) {
   Fiber f([] { FAIL() << "body must not run"; });
   // Destructor only: the body never runs.
+}
+
+struct Guard {
+  std::vector<int>* log;
+  int depth;
+  ~Guard() { log->push_back(depth); }
+};
+
+// Recurse `depth` frames, each holding a Guard; at the bottom, throw and
+// swallow an unrelated exception, then suspend for good.
+void descend_and_suspend(Process& p, std::vector<int>& log, int depth,
+                         bool& swallowed) {
+  Guard g{&log, depth};
+  if (depth > 1) {
+    descend_and_suspend(p, log, depth - 1, swallowed);
+    return;
+  }
+  try {
+    throw std::runtime_error("unrelated");
+  } catch (const std::runtime_error&) {
+    swallowed = true;
+  }
+  p.suspend();
+  ADD_FAILURE() << "a killed process must not resume normally";
+}
+
+TEST(Fiber, KillUnwindsDeepFramesAfterASwallowedException) {
+  Engine eng;
+  std::vector<int> log;
+  bool swallowed = false;
+  bool after_kill = false;
+  Process& deep = eng.spawn("deep", [&](Process& p) {
+    descend_and_suspend(p, log, 5, swallowed);
+  });
+  // Another process kills it: the victim's stack unwinds from inside a
+  // second fiber, and the killer carries on afterwards.
+  eng.spawn("killer", [&](Process& p) {
+    p.delay(10);
+    EXPECT_TRUE(swallowed);
+    EXPECT_TRUE(log.empty());
+    eng.kill(deep);
+    p.delay(10);
+    after_kill = true;
+  });
+  eng.run();
+  EXPECT_TRUE(deep.finished());
+  EXPECT_EQ(log, (std::vector<int>{1, 2, 3, 4, 5}));  // Innermost first.
+  EXPECT_TRUE(after_kill);
+  EXPECT_FALSE(eng.deadlocked());
+  EXPECT_EQ(eng.now(), 20);
+}
+
+TEST(Fiber, ThousandFibersReplayIdentically) {
+  constexpr int kFibers = 1000;
+  auto run_once = [] {
+    std::vector<int> trace;
+    std::vector<std::unique_ptr<Fiber>> fibers;
+    fibers.reserve(kFibers);
+    for (int i = 0; i < kFibers; ++i) {
+      fibers.push_back(std::make_unique<Fiber>(
+          [&trace, &fibers, i] {
+            for (int k = 0; k <= i % 4; ++k) {
+              trace.push_back(i * 8 + k);
+              fibers[i]->yield();
+            }
+            trace.push_back(-i);
+          },
+          64 * 1024));
+    }
+    // A fixed, non-sequential resume order (7 is coprime to 1000), swept
+    // until every fiber has finished.
+    for (bool live = true; live;) {
+      live = false;
+      for (int n = 0; n < kFibers; ++n) {
+        Fiber& f = *fibers[(n * 7) % kFibers];
+        if (f.finished()) continue;
+        f.resume();
+        live = live || !f.finished();
+      }
+    }
+    return trace;
+  };
+  const auto a = run_once();
+  const auto b = run_once();
+  // Every fiber records 1..4 steps plus its finish marker.
+  EXPECT_EQ(a.size(), static_cast<std::size_t>(kFibers / 4 * (1 + 2 + 3 + 4) +
+                                               kFibers));
+  EXPECT_EQ(a, b);
 }
 
 TEST(Engine, EventsRunInTimeOrder) {
