@@ -5,7 +5,6 @@
 // final average fitness).
 #include <iostream>
 
-#include "exp/ga_experiments.hpp"
 #include "ga/island.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"

@@ -6,7 +6,10 @@
 // to restrict the number of costly rollbacks).
 #include <iostream>
 
-#include "exp/bayes_experiments.hpp"
+#include "bayes/generators.hpp"
+#include "bayes/logic_sampling.hpp"
+#include "bayes/parallel_sampling.hpp"
+#include "harness/run_config.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
 
@@ -21,14 +24,12 @@ int main(int argc, char** argv) {
   table.columns({"network", "variant", "rollbacks", "nodes resampled",
                  "gr blocks", "block time s", "completion s"});
 
-  for (const auto& named : nscc::exp::table2_networks()) {
+  for (const auto& named : nscc::bayes::table2_networks()) {
     if (named.name != "A" && named.name != "Hailfinder") continue;
     const auto queries = nscc::bayes::default_queries(named.net, 3, 11);
-    auto run_one = [&](const std::string& label, nscc::dsm::Mode mode,
-                       long age) {
+    auto run_one = [&](const nscc::harness::VariantSpec& variant) {
       nscc::bayes::ParallelInferenceConfig cfg;
-      cfg.mode = mode;
-      cfg.age = age;
+      variant.apply(cfg);
       cfg.iterations =
           static_cast<std::uint64_t>(flags.get_int("iterations"));
       cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
@@ -36,18 +37,18 @@ int main(int argc, char** argv) {
           named.net, {}, queries, cfg, {});
       table.row()
           .cell(named.name)
-          .cell(label)
+          .cell(variant.tag())
           .cell(r.rollbacks)
           .cell(r.nodes_resampled)
           .cell(r.global_read_blocks)
           .cell(nscc::sim::to_seconds(r.global_read_block_time), 2)
           .cell(nscc::sim::to_seconds(r.full_run_time), 2);
     };
-    run_one("sync", nscc::dsm::Mode::kSynchronous, 0);
+    run_one(nscc::harness::make_variant("sync", 0));
     for (long age : {0L, 2L, 5L, 10L, 20L, 30L}) {
-      run_one("age" + std::to_string(age), nscc::dsm::Mode::kPartialAsync, age);
+      run_one(nscc::harness::make_variant("partial", age));
     }
-    run_one("async", nscc::dsm::Mode::kAsynchronous, 0);
+    run_one(nscc::harness::make_variant("async", 0));
   }
   table.print(std::cout);
   if (flags.get_bool("csv")) std::cout << '\n' << table.to_csv();

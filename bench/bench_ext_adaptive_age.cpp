@@ -5,6 +5,7 @@
 #include <iostream>
 
 #include "ga/island.hpp"
+#include "harness/run_config.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
 
@@ -28,14 +29,13 @@ int main(int argc, char** argv) {
     auto run = [&](const std::string& label, long age, bool adaptive) {
       nscc::ga::IslandConfig cfg;
       cfg.function_id = static_cast<int>(flags.get_int("function"));
-      cfg.mode = nscc::dsm::Mode::kPartialAsync;
-      cfg.age = age;
+      nscc::harness::make_variant("partial", age).apply(cfg);
       cfg.adaptive_age = adaptive;
       cfg.ndemes = static_cast<int>(flags.get_int("processors"));
       cfg.generations = static_cast<int>(flags.get_int("generations"));
       cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-      cfg.propagation.coalesce = true;
-      const auto r = nscc::ga::run_island_ga(cfg, {}, load_mbps * 1e6);
+      cfg.loader_offered_bps = load_mbps * 1e6;
+      const auto r = nscc::ga::run_island_ga(cfg, {});
       table.row()
           .cell(nscc::util::format_double(load_mbps, 0) + " Mbps")
           .cell(label)

@@ -6,11 +6,11 @@
 // uniprocessor, and (b) the Global_Read variants extending their lead as
 // the per-iteration computation grows relative to communication.
 #include <iostream>
+#include <tuple>
 
 #include "bayes/generators.hpp"
-#include "bayes/logic_sampling.hpp"
-#include "bayes/parallel_sampling.hpp"
 #include "bayes/partitioner.hpp"
+#include "harness/speedup.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
 
@@ -34,50 +34,31 @@ int main(int argc, char** argv) {
     nc.edges = static_cast<int>(nodes * epn);
     nc.skew = 0.55;
     nc.seed = seed ^ static_cast<std::uint64_t>(nodes);
-    const auto net = nscc::bayes::make_random_network(nc);
-    const auto queries = nscc::bayes::default_queries(
-        net, static_cast<int>(flags.get_int("queries")), seed);
-
-    nscc::bayes::InferenceConfig serial_cfg;
-    serial_cfg.seed = seed;
-    const auto serial =
-        nscc::bayes::run_logic_sampling(net, {}, queries, serial_cfg);
+    const nscc::bayes::NamedNetwork named{label,
+                                          nscc::bayes::make_random_network(nc)};
 
     for (int P : {2, 4}) {
-      nscc::bayes::ParallelInferenceConfig pc;
-      pc.parts = P;
-      pc.seed = seed;
-      pc.iterations = serial.samples_drawn * 13 / 10;
-
-      double speedups[4] = {0, 0, 0, 0};
-      int cut = 0;
-      int i = 0;
-      for (auto [mode, age] :
-           {std::pair{nscc::dsm::Mode::kSynchronous, 0L},
-            {nscc::dsm::Mode::kAsynchronous, 0L},
-            {nscc::dsm::Mode::kPartialAsync, 10L},
-            {nscc::dsm::Mode::kPartialAsync, 30L}}) {
-        pc.mode = mode;
-        pc.age = age;
-        const auto r = nscc::bayes::run_parallel_logic_sampling(net, {},
-                                                                queries, pc, {});
-        speedups[i++] = static_cast<double>(serial.completion_time) /
-                        static_cast<double>(r.completion_time);
-        cut = r.edge_cut;
-      }
-      const double best_partial = std::max(speedups[2], speedups[3]);
-      const double best_comp = std::max({1.0, speedups[0], speedups[1]});
+      nscc::harness::BayesCellConfig cfg;
+      cfg.processors = P;
+      cfg.reps = 1;
+      cfg.ages = {10, 30};
+      cfg.queries_per_net = static_cast<int>(flags.get_int("queries"));
+      cfg.seed = seed;
+      const auto cell = nscc::harness::run_bayes_cell(named, cfg);
+      const int cut = nscc::bayes::edge_cut(
+          named.net, nscc::bayes::partition_network(named.net, {.parts = P}));
       table.row()
           .cell(label)
           .cell(static_cast<std::int64_t>(nodes))
           .cell(static_cast<std::int64_t>(P))
           .cell(static_cast<std::int64_t>(cut))
-          .cell(nscc::sim::to_seconds(serial.completion_time), 1)
-          .cell(speedups[0], 2)
-          .cell(speedups[1], 2)
-          .cell(speedups[2], 2)
-          .cell(speedups[3], 2)
-          .cell(best_partial / best_comp, 2);
+          .cell(cell.variant("serial").mean_time_s, 1)
+          .cell(cell.variant("sync").speedup, 2)
+          .cell(cell.variant("async").speedup, 2)
+          .cell(cell.variant("partial", 10).speedup, 2)
+          .cell(cell.variant("partial", 30).speedup, 2)
+          .cell(nscc::harness::best_partial_over_best_competitor(cell.variants),
+                2);
     }
   }
   table.print(std::cout);

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "dsm/consistency.hpp"
+#include "harness/run_config.hpp"
 #include "harness/sweep.hpp"
 #include "solver/jacobi.hpp"
 #include "util/flags.hpp"
@@ -47,19 +48,17 @@ namespace {
 using nscc::solver::ParallelJacobiResult;
 
 ParallelJacobiResult run(const nscc::solver::LinearSystem& sys,
-                         const std::string& model, long age,
+                         const std::string& model,
+                         const nscc::harness::VariantSpec& variant,
                          nscc::rt::Network network, int processors,
                          double tolerance, std::uint64_t seed) {
   nscc::solver::ParallelJacobiConfig cfg;
-  cfg.mode = age == 0 ? nscc::dsm::Mode::kSynchronous
-                      : nscc::dsm::Mode::kPartialAsync;
-  cfg.age = age;
+  // The harness's mode-derived wiring; a model's shape() may override.
+  variant.apply(cfg);
   cfg.processors = processors;
   cfg.tolerance = tolerance;
   cfg.check_interval = 25;
   cfg.seed = seed;
-  // The harness's mode-derived wiring; a model's shape() may override.
-  cfg.propagation.coalesce = cfg.mode == nscc::dsm::Mode::kPartialAsync;
   cfg.propagation.consistency = model;
 
   nscc::rt::MachineConfig machine;
@@ -103,16 +102,17 @@ int main(int argc, char** argv) {
   for (const auto& [net_name, network] : networks) {
     for (const auto& model : models) {
       for (long age : ages) {
+        const auto variant = age == 0
+                                 ? nscc::harness::make_variant("sync", 0)
+                                 : nscc::harness::make_variant("partial", age);
         const ParallelJacobiResult cell =
-            run(sys, model, age, network, processors, tolerance, seed);
-        const std::string label =
-            age == 0 ? "sync" : "age" + std::to_string(age);
+            run(sys, model, variant, network, processors, tolerance, seed);
         char residual[32];
         std::snprintf(residual, sizeof residual, "%.3e", cell.residual);
         table.row()
             .cell(net_name)
             .cell(model)
-            .cell(label + (cell.deadlocked ? " (DEADLOCK)" : ""))
+            .cell(variant.tag() + (cell.deadlocked ? " (DEADLOCK)" : ""))
             .cell(nscc::sim::to_seconds(cell.completion_time), 2)
             .cell(residual)
             .cell(cell.sweeps)
@@ -125,9 +125,9 @@ int main(int argc, char** argv) {
             .cell(cell.ooo_updates);
         nscc::harness::SweepRecord rec;
         rec.workload = "solver.jacobi";
-        rec.variant = age == 0 ? "sync" : "partial";
+        rec.variant = variant.name;
         rec.consistency = model;
-        rec.age = age;
+        rec.age = variant.age;
         rec.seed = seed;
         rec.repeat = 0;
         rec.params = {{"grid",

@@ -65,13 +65,12 @@ MachineStats run(double loss, long age, int demes, int generations,
                  double quorum = 0.0, bool heal = false) {
   nscc::ga::IslandConfig cfg;
   cfg.function_id = 1;
-  cfg.mode = age == 0 ? nscc::dsm::Mode::kSynchronous
-                      : nscc::dsm::Mode::kPartialAsync;
-  cfg.age = age;
+  const auto variant = age == 0 ? nscc::harness::make_variant("sync", 0)
+                                : nscc::harness::make_variant("partial", age);
+  variant.apply(cfg);
   cfg.ndemes = demes;
   cfg.generations = generations;
   cfg.seed = seed;
-  cfg.propagation.coalesce = age > 0;
   if (age > 0) cfg.propagation.read_timeout = read_timeout;
   cfg.recovery.policy = policy;
   cfg.recovery.checkpoint_interval = 100 * nscc::sim::kMillisecond;

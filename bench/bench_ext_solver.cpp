@@ -5,6 +5,7 @@
 // operands (more sweeps to contract) but wait less and coalesce more.
 #include <iostream>
 
+#include "harness/run_config.hpp"
 #include "solver/jacobi.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
@@ -32,20 +33,18 @@ int main(int argc, char** argv) {
                  "block time s", "converged"});
 
   for (double load_mbps : {0.0, 4.0}) {
-    auto run = [&](const std::string& label, nscc::dsm::Mode mode, long age) {
+    auto run = [&](const nscc::harness::VariantSpec& variant) {
       nscc::solver::ParallelJacobiConfig cfg;
-      cfg.mode = mode;
-      cfg.age = age;
+      variant.apply(cfg);
       cfg.processors = static_cast<int>(flags.get_int("processors"));
       cfg.tolerance = flags.get_double("tolerance");
       cfg.check_interval = 25;
-      cfg.propagation.coalesce = mode == nscc::dsm::Mode::kPartialAsync;
       cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-      const auto r =
-          nscc::solver::run_parallel_jacobi(sys, cfg, {}, load_mbps * 1e6);
+      cfg.loader_offered_bps = load_mbps * 1e6;
+      const auto r = nscc::solver::run_parallel_jacobi(sys, cfg, {});
       table.row()
           .cell(nscc::util::format_double(load_mbps, 0) + " Mbps")
-          .cell(label)
+          .cell(variant.tag())
           .cell(static_cast<std::int64_t>(r.sweeps))
           .cell(nscc::sim::to_seconds(r.completion_time), 2)
           .cell(static_cast<double>(serial.completion_time) /
@@ -54,11 +53,11 @@ int main(int argc, char** argv) {
           .cell(nscc::sim::to_seconds(r.global_read_block_time), 2)
           .cell(r.converged ? "yes" : "NO");
     };
-    run("sync", nscc::dsm::Mode::kSynchronous, 0);
+    run(nscc::harness::make_variant("sync", 0));
     for (long age : {0L, 2L, 5L, 10L, 20L, 40L}) {
-      run("age" + std::to_string(age), nscc::dsm::Mode::kPartialAsync, age);
+      run(nscc::harness::make_variant("partial", age));
     }
-    run("async", nscc::dsm::Mode::kAsynchronous, 0);
+    run(nscc::harness::make_variant("async", 0));
   }
   table.print(std::cout);
   if (flags.get_bool("csv")) std::cout << '\n' << table.to_csv();

@@ -7,9 +7,10 @@
 // on both interconnects and shows (a) everything scales much further on the
 // switch, and (b) the Global_Read programs retain an edge that grows with
 // the communication load (processor count).
+#include <algorithm>
 #include <iostream>
 
-#include "exp/ga_experiments.hpp"
+#include "harness/speedup.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
 
@@ -30,7 +31,7 @@ int main(int argc, char** argv) {
        {std::pair{"10Mb Ethernet", nscc::rt::Network::kEthernet},
         {"SP2 switch", nscc::rt::Network::kSp2Switch}}) {
     for (int P : {4, 16}) {
-      nscc::exp::GaCellConfig cfg;
+      nscc::harness::GaCellConfig cfg;
       cfg.function_id = static_cast<int>(flags.get_int("function"));
       cfg.processors = P;
       cfg.generations = static_cast<int>(flags.get_int("generations"));
@@ -38,18 +39,19 @@ int main(int argc, char** argv) {
       cfg.ages = {10, 30};
       cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
       cfg.machine.network = network;
-      const auto cell = nscc::exp::run_ga_cell(cfg);
-      const double best_partial = std::max(cell.variant("age10").speedup,
-                                           cell.variant("age30").speedup);
+      const auto cell = nscc::harness::run_ga_cell(cfg);
+      const auto& sync = cell.variant("sync");
+      const double age10 = cell.variant("partial", 10).speedup;
+      const double age30 = cell.variant("partial", 30).speedup;
       table.row()
           .cell(label)
           .cell(static_cast<std::int64_t>(P))
-          .cell(cell.variant("sync").speedup, 2)
+          .cell(sync.speedup, 2)
           .cell(cell.variant("async").speedup, 2)
-          .cell(cell.variant("age10").speedup, 2)
-          .cell(cell.variant("age30").speedup, 2)
-          .cell(best_partial / cell.variant("sync").speedup, 2)
-          .cell(cell.variant("sync").bus_utilization, 2);
+          .cell(age10, 2)
+          .cell(age30, 2)
+          .cell(std::max(age10, age30) / sync.speedup, 2)
+          .cell(sync.mean("bus_utilization"), 2);
     }
   }
   table.print(std::cout);

@@ -8,26 +8,14 @@
 // Defaults are reduced for a quick run; --paper-scale restores the paper's
 // 1000-generation, 25-repetition protocol (expect a long run).
 #include <iostream>
+#include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "exp/ga_experiments.hpp"
+#include "harness/speedup.hpp"
 #include "harness/sweep.hpp"
-#include "sim/time.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
-
-namespace {
-
-/// Map an exp:: variant name onto the harness (variant, age) pair:
-/// "age10" -> ("partial", 10); "serial"/"sync"/"async" keep their names.
-std::pair<std::string, long> split_variant(const std::string& name) {
-  if (name.rfind("age", 0) == 0) return {"partial", std::stol(name.substr(3))};
-  return {name, 0};
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   nscc::util::Flags flags;
@@ -51,109 +39,64 @@ int main(int argc, char** argv) {
   }
   const int nfuncs = static_cast<int>(flags.get_int("functions"));
 
-  std::vector<int> procs;
-  {
-    const std::string& s = flags.get_string("procs");
-    std::size_t pos = 0;
-    while (pos < s.size()) {
-      const auto comma = s.find(',', pos);
-      procs.push_back(std::stoi(s.substr(pos, comma - pos)));
-      pos = comma == std::string::npos ? s.size() : comma + 1;
+  try {
+    std::vector<int> procs;
+    try {
+      procs = nscc::util::parse_int_csv(flags.get_string("procs"));
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(std::string("--procs: ") + e.what());
     }
-  }
 
-  const std::vector<std::string> variant_names = {
-      "sync", "async", "age0", "age5", "age10", "age20", "age30"};
-
-  for (int P : procs) {
-    std::vector<nscc::exp::GaCellResult> cells;
-    for (int f = 1; f <= nfuncs; ++f) {
-      nscc::exp::GaCellConfig cfg;
-      cfg.function_id = f;
-      cfg.processors = P;
-      cfg.generations = generations;
-      cfg.reps = reps;
-      cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-      cells.push_back(nscc::exp::run_ga_cell(cfg));
-      // Each variant's aggregated cell (means over reps -> repeat = -1).
-      for (const auto& v : cells.back().variants) {
-        const auto [variant, age] = split_variant(v.name);
-        nscc::harness::SweepRecord rec;
-        rec.workload = "ga.island";
-        rec.variant = variant;
-        rec.age = age;
-        rec.seed = cfg.seed;
-        rec.repeat = -1;
-        rec.params = {{"processors", static_cast<double>(P)},
-                      {"function", static_cast<double>(f)},
-                      {"generations", static_cast<double>(generations)},
-                      {"reps", static_cast<double>(reps)}};
-        rec.stats = {{"speedup", v.speedup},
-                     {"mean_time_s", v.mean_time_s},
-                     {"final_best", v.final_best},
-                     {"mean_generations", v.mean_generations},
-                     {"quality_ok_fraction", v.quality_ok_fraction},
-                     {"bus_utilization", v.bus_utilization},
-                     {"mean_warp", v.mean_warp}};
-        sweep.add(std::move(rec));
-      }
-    }
-    const auto avg = nscc::exp::average_cells(cells);
-
-    nscc::util::Table table("Figure 2 - GA speedups, unloaded network, P=" +
-                            std::to_string(P));
-    std::vector<std::string> cols = {"series"};
-    for (const auto& n : variant_names) cols.push_back(n);
-    cols.push_back("best/bestcomp");
-    table.columns(cols);
-
-    auto emit = [&](const std::string& label,
-                    const std::vector<nscc::exp::GaVariantResult>& variants,
-                    double white_bar) {
-      table.row().cell(label);
-      for (const auto& name : variant_names) {
-        for (const auto& v : variants) {
-          if (v.name == name) {
-            table.cell(v.speedup, 2);
-            break;
-          }
+    for (int P : procs) {
+      std::vector<nscc::harness::SpeedupCell> cells;
+      for (int f = 1; f <= nfuncs; ++f) {
+        nscc::harness::GaCellConfig cfg;
+        cfg.function_id = f;
+        cfg.processors = P;
+        cfg.generations = generations;
+        cfg.reps = reps;
+        cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
+        cells.push_back(nscc::harness::run_ga_cell(cfg));
+        for (const auto& v : cells.back().variants) {
+          sweep.add(nscc::harness::sweep_record(
+              v, "ga.island", cfg.seed,
+              {{"processors", static_cast<double>(P)},
+               {"function", static_cast<double>(f)},
+               {"generations", static_cast<double>(generations)},
+               {"reps", static_cast<double>(reps)}}));
         }
       }
-      table.cell(white_bar, 2);
-    };
-    emit("f1 (best case)", cells.front().variants,
-         cells.front().best_partial_over_best_competitor());
-    // The paper's white bar for the average panel: best partial vs best
-    // competitor computed on the averaged speedups.
-    double best_partial = 0.0;
-    double best_other = 0.0;
-    for (const auto& v : avg) {
-      if (v.name.rfind("age", 0) == 0) {
-        best_partial = std::max(best_partial, v.speedup);
-      } else if (v.name != "serial") {
-        best_other = std::max(best_other, v.speedup);
-      }
-    }
-    // Serial itself is a competitor with speedup 1 by definition.
-    best_other = std::max(best_other, 1.0);
-    emit("average (8 fns)", avg, best_partial / best_other);
-    table.print(std::cout);
+      const auto avg = nscc::harness::average_cells(cells);
 
-    nscc::util::Table diag("diagnostics (f1): generations to match sync "
-                           "quality, bus utilization, warp");
-    diag.columns({"variant", "gens", "quality ok", "bus util", "warp"});
-    for (const auto& v : cells.front().variants) {
-      if (v.name == "serial") continue;
-      diag.row()
-          .cell(v.name)
-          .cell(v.mean_generations, 0)
-          .cell(v.quality_ok_fraction, 2)
-          .cell(v.bus_utilization, 2)
-          .cell(v.mean_warp, 2);
+      nscc::util::Table table("Figure 2 - GA speedups, unloaded network, P=" +
+                              std::to_string(P));
+      table.columns(nscc::harness::chart_columns({"series"}, avg));
+      nscc::harness::chart_cells(table.row().cell("f1 (best case)"),
+                                 cells.front().variants);
+      nscc::harness::chart_cells(
+          table.row().cell("average (" + std::to_string(nfuncs) + " fns)"),
+          avg);
+      table.print(std::cout);
+
+      nscc::util::Table diag("diagnostics (f1): generations to match sync "
+                             "quality, bus utilization, warp");
+      diag.columns({"variant", "gens", "quality ok", "bus util", "warp"});
+      for (const auto& v : cells.front().variants) {
+        if (v.variant.name == "serial") continue;
+        diag.row()
+            .cell(v.variant.tag())
+            .cell(v.mean("mean_generations"), 0)
+            .cell(v.mean("quality_ok_fraction"), 2)
+            .cell(v.mean("bus_utilization"), 2)
+            .cell(v.mean("mean_warp"), 2);
+      }
+      diag.print(std::cout);
+      std::cout << '\n';
+      if (flags.get_bool("csv")) std::cout << table.to_csv() << '\n';
     }
-    diag.print(std::cout);
-    std::cout << '\n';
-    if (flags.get_bool("csv")) std::cout << table.to_csv() << '\n';
+  } catch (const std::exception& e) {
+    std::cerr << "bench_fig2_ga_unloaded: " << e.what() << '\n';
+    return 1;
   }
   return sweep.write() ? 0 : 1;
 }

@@ -4,22 +4,15 @@
 // belief networks of Table 2, plus the cross-network average and the
 // "best partial over best competitor" bar.
 #include <iostream>
+#include <stdexcept>
 #include <string>
-#include <utility>
+#include <vector>
 
-#include "exp/bayes_experiments.hpp"
+#include "bayes/generators.hpp"
+#include "harness/speedup.hpp"
 #include "harness/sweep.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
-
-namespace {
-
-std::pair<std::string, long> split_variant(const std::string& name) {
-  if (name.rfind("age", 0) == 0) return {"partial", std::stol(name.substr(3))};
-  return {name, 0};
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   nscc::util::Flags flags;
@@ -33,71 +26,42 @@ int main(int argc, char** argv) {
   if (!flags.parse(argc, argv)) return 1;
   sweep.configure(flags);
 
-  nscc::exp::BayesCellConfig cfg;
+  nscc::harness::BayesCellConfig cfg;
   cfg.reps = flags.get_bool("paper-scale")
                  ? 10
                  : static_cast<int>(flags.get_int("reps"));
   cfg.queries_per_net = static_cast<int>(flags.get_int("queries"));
   cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
 
-  std::vector<nscc::exp::BayesCellResult> cells;
-  for (const auto& net : nscc::exp::table2_networks()) {
-    cells.push_back(nscc::exp::run_bayes_cell(net, cfg));
-    // Aggregated per-variant records (means over reps -> repeat = -1); the
-    // belief-network instance rides on the workload name after ':'.
-    const std::size_t net_index = cells.size() - 1;
-    for (const auto& v : cells.back().variants) {
-      const auto [variant, age] = split_variant(v.name);
-      nscc::harness::SweepRecord rec;
-      rec.workload = "bayes.sampling:" + cells.back().network;
-      rec.variant = variant;
-      rec.age = age;
-      rec.seed = cfg.seed;
-      rec.repeat = -1;
-      rec.params = {{"processors", static_cast<double>(cfg.processors)},
-                    {"network_index", static_cast<double>(net_index)},
-                    {"queries", static_cast<double>(cfg.queries_per_net)},
-                    {"reps", static_cast<double>(cfg.reps)}};
-      rec.stats = {{"speedup", v.speedup},
-                   {"mean_time_s", v.mean_time_s},
-                   {"converged_fraction", v.converged_fraction},
-                   {"rollbacks", v.rollbacks},
-                   {"nodes_resampled", v.nodes_resampled},
-                   {"mean_warp", v.mean_warp}};
-      sweep.add(std::move(rec));
+  std::vector<nscc::harness::SpeedupCell> cells;
+  std::vector<nscc::harness::VariantSummary> avg;
+  try {
+    for (const auto& net : nscc::bayes::table2_networks()) {
+      cells.push_back(nscc::harness::run_bayes_cell(net, cfg));
+      // The belief-network instance rides on the workload name after ':'.
+      const std::size_t net_index = cells.size() - 1;
+      for (const auto& v : cells.back().variants) {
+        sweep.add(nscc::harness::sweep_record(
+            v, "bayes.sampling:" + cells.back().label, cfg.seed,
+            {{"processors", static_cast<double>(cfg.processors)},
+             {"network_index", static_cast<double>(net_index)},
+             {"queries", static_cast<double>(cfg.queries_per_net)},
+             {"reps", static_cast<double>(cfg.reps)}}));
+      }
     }
+    avg = nscc::harness::average_cells(cells);
+  } catch (const std::exception& e) {
+    std::cerr << "bench_fig3_bayes: " << e.what() << '\n';
+    return 1;
   }
-  const auto avg = nscc::exp::average_bayes_cells(cells);
 
   nscc::util::Table table(
       "Figure 3 - Bayesian network speedups, 2 processors, unloaded network");
-  std::vector<std::string> cols = {"network"};
-  for (const auto& v : cells.front().variants) {
-    if (v.name != "serial") cols.push_back(v.name);
-  }
-  cols.push_back("best/bestcomp");
-  table.columns(cols);
-
+  table.columns(nscc::harness::chart_columns({"network"}, avg));
   for (const auto& cell : cells) {
-    table.row().cell(cell.network);
-    for (const auto& v : cell.variants) {
-      if (v.name != "serial") table.cell(v.speedup, 2);
-    }
-    table.cell(cell.best_partial_over_best_competitor(), 2);
+    nscc::harness::chart_cells(table.row().cell(cell.label), cell.variants);
   }
-  table.row().cell("average");
-  double best_partial = 0.0;
-  double best_other = 1.0;  // Serial is always a competitor at 1.0.
-  for (const auto& v : avg) {
-    if (v.name == "serial") continue;
-    table.cell(v.speedup, 2);
-    if (v.name.rfind("age", 0) == 0) {
-      best_partial = std::max(best_partial, v.speedup);
-    } else {
-      best_other = std::max(best_other, v.speedup);
-    }
-  }
-  table.cell(best_partial / best_other, 2);
+  nscc::harness::chart_cells(table.row().cell("average"), avg);
   table.print(std::cout);
 
   nscc::util::Table diag("Rollback diagnostics (mean per run)");
@@ -105,14 +69,11 @@ int main(int argc, char** argv) {
                 "age5 rollbacks", "age5 resampled", "age30 rollbacks",
                 "age30 resampled"});
   for (const auto& cell : cells) {
-    diag.row()
-        .cell(cell.network)
-        .cell(cell.variant("async").rollbacks, 0)
-        .cell(cell.variant("async").nodes_resampled, 0)
-        .cell(cell.variant("age5").rollbacks, 0)
-        .cell(cell.variant("age5").nodes_resampled, 0)
-        .cell(cell.variant("age30").rollbacks, 0)
-        .cell(cell.variant("age30").nodes_resampled, 0);
+    diag.row().cell(cell.label);
+    for (const auto* v : {&cell.variant("async"), &cell.variant("partial", 5),
+                          &cell.variant("partial", 30)}) {
+      diag.cell(v->mean("rollbacks"), 0).cell(v->mean("nodes_resampled"), 0);
+    }
   }
   std::cout << '\n';
   diag.print(std::cout);

@@ -5,9 +5,11 @@
 // eight-function average per load level, plus the best-partial-over-best-
 // competitor bar, which the paper shows growing with load.
 #include <iostream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
-#include "exp/ga_experiments.hpp"
+#include "harness/speedup.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
 
@@ -31,56 +33,36 @@ int main(int argc, char** argv) {
   const int nfuncs = static_cast<int>(flags.get_int("functions"));
 
   const std::vector<double> loads_mbps = {0.0, 0.5, 1.0, 2.0};
-  const std::vector<std::string> variant_names = {
-      "sync", "async", "age0", "age5", "age10", "age20", "age30"};
-
   nscc::util::Table table("Figure 4 - GA speedups on the loaded network (P=" +
                           std::to_string(flags.get_int("processors")) + ")");
-  std::vector<std::string> cols = {"load", "series"};
-  for (const auto& n : variant_names) cols.push_back(n);
-  cols.push_back("best/bestcomp");
-  table.columns(cols);
-
-  for (double load : loads_mbps) {
-    std::vector<nscc::exp::GaCellResult> cells;
-    for (int f = 1; f <= nfuncs; ++f) {
-      nscc::exp::GaCellConfig cfg;
-      cfg.function_id = f;
-      cfg.processors = static_cast<int>(flags.get_int("processors"));
-      cfg.generations = generations;
-      cfg.reps = reps;
-      cfg.loader_mbps = load;
-      cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-      cells.push_back(nscc::exp::run_ga_cell(cfg));
-    }
-    const auto avg = nscc::exp::average_cells(cells);
-
-    auto emit = [&](const std::string& label,
-                    const std::vector<nscc::exp::GaVariantResult>& variants,
-                    double white_bar) {
-      table.row().cell(nscc::util::format_double(load, 1) + " Mbps").cell(label);
-      for (const auto& name : variant_names) {
-        for (const auto& v : variants) {
-          if (v.name == name) {
-            table.cell(v.speedup, 2);
-            break;
-          }
-        }
+  try {
+    for (double load : loads_mbps) {
+      std::vector<nscc::harness::SpeedupCell> cells;
+      for (int f = 1; f <= nfuncs; ++f) {
+        nscc::harness::GaCellConfig cfg;
+        cfg.function_id = f;
+        cfg.processors = static_cast<int>(flags.get_int("processors"));
+        cfg.generations = generations;
+        cfg.reps = reps;
+        cfg.loader_mbps = load;
+        cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
+        cells.push_back(nscc::harness::run_ga_cell(cfg));
       }
-      table.cell(white_bar, 2);
-    };
-    emit("f1", cells.front().variants,
-         cells.front().best_partial_over_best_competitor());
-    double best_partial = 0.0;
-    double best_other = 1.0;
-    for (const auto& v : avg) {
-      if (v.name.rfind("age", 0) == 0) {
-        best_partial = std::max(best_partial, v.speedup);
-      } else if (v.name != "serial") {
-        best_other = std::max(best_other, v.speedup);
-      }
+      const auto avg = nscc::harness::average_cells(cells);
+
+      // Every load level runs the same variant list, so the header is
+      // the same each time round.
+      table.columns(nscc::harness::chart_columns({"load", "series"}, avg));
+      const std::string load_label =
+          nscc::util::format_double(load, 1) + " Mbps";
+      nscc::harness::chart_cells(table.row().cell(load_label).cell("f1"),
+                                 cells.front().variants);
+      nscc::harness::chart_cells(table.row().cell(load_label).cell("average"),
+                                 avg);
     }
-    emit("average", avg, best_partial / best_other);
+  } catch (const std::exception& e) {
+    std::cerr << "bench_fig4_ga_loaded: " << e.what() << '\n';
+    return 1;
   }
   table.print(std::cout);
   if (flags.get_bool("csv")) std::cout << '\n' << table.to_csv();

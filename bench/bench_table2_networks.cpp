@@ -6,7 +6,10 @@
 #include <map>
 #include <string>
 
-#include "exp/bayes_experiments.hpp"
+#include "bayes/generators.hpp"
+#include "bayes/logic_sampling.hpp"
+#include "bayes/partitioner.hpp"
+#include "sim/time.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
 
@@ -31,28 +34,32 @@ int main(int argc, char** argv) {
       {"Hailfinder", {1.2, 4, 4, 3.15}},
   };
 
-  const auto rows = nscc::exp::measure_table2(
-      static_cast<int>(flags.get_int("queries")),
-      static_cast<std::uint64_t>(flags.get_int("seed")));
+  const int queries_per_net = static_cast<int>(flags.get_int("queries"));
+  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
 
   nscc::util::Table table("Table 2 - four Bayesian belief networks");
   table.columns({"network", "nodes", "edges/node (paper)", "values/node (paper)",
                  "edge-cut 2p (paper)", "uniproc time s (paper)", "samples"});
-  for (const auto& row : rows) {
-    const auto& p = paper.at(row.name);
+  for (const auto& [name, net] : nscc::bayes::table2_networks()) {
+    const auto& p = paper.at(name);
+    const int cut = nscc::bayes::edge_cut(
+        net, nscc::bayes::partition_network(net, {.parts = 2}));
+    nscc::bayes::InferenceConfig ic;
+    ic.seed = seed;
+    const auto serial = nscc::bayes::run_logic_sampling(
+        net, {}, nscc::bayes::default_queries(net, queries_per_net, seed), ic);
     auto fmt = [](double ours, double theirs, int prec) {
       return nscc::util::format_double(ours, prec) + " (" +
              nscc::util::format_double(theirs, prec) + ")";
     };
     table.row()
-        .cell(row.name)
-        .cell(static_cast<std::int64_t>(row.nodes))
-        .cell(fmt(row.edges_per_node, p.edges_per_node, 1))
-        .cell(fmt(row.values_per_node, p.values, 0))
-        .cell(std::to_string(row.edge_cut_2way) + " (" + std::to_string(p.cut) +
-              ")")
-        .cell(fmt(row.uniprocessor_time_s, p.time_s, 2))
-        .cell(row.samples);
+        .cell(name)
+        .cell(static_cast<std::int64_t>(net.size()))
+        .cell(fmt(net.edges_per_node(), p.edges_per_node, 1))
+        .cell(fmt(net.average_cardinality(), p.values, 0))
+        .cell(std::to_string(cut) + " (" + std::to_string(p.cut) + ")")
+        .cell(fmt(nscc::sim::to_seconds(serial.completion_time), p.time_s, 2))
+        .cell(serial.samples_drawn);
   }
   table.print(std::cout);
   if (flags.get_bool("csv")) std::cout << '\n' << table.to_csv();

@@ -8,8 +8,8 @@
 #include <iostream>
 #include <memory>
 
-#include "exp/ga_experiments.hpp"
 #include "fault/fault.hpp"
+#include "harness/speedup.hpp"
 #include "net/load_generator.hpp"
 #include "obs/obs.hpp"
 #include "rt/vm.hpp"
@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
   nscc::util::Table ga("Warp observed by the island GA (P=16)");
   ga.columns({"load", "sync warp", "async warp", "age10 warp"});
   for (double load : {0.0, 1.0, 2.0}) {
-    nscc::exp::GaCellConfig cfg;
+    nscc::harness::GaCellConfig cfg;
     cfg.function_id = 1;
     cfg.processors = 16;
     cfg.generations = static_cast<int>(flags.get_int("generations"));
@@ -107,12 +107,12 @@ int main(int argc, char** argv) {
     cfg.ages = {10};
     cfg.loader_mbps = load;
     cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-    const auto cell = nscc::exp::run_ga_cell(cfg);
+    const auto cell = nscc::harness::run_ga_cell(cfg);
     ga.row()
         .cell(nscc::util::format_double(load, 1) + " Mbps")
-        .cell(cell.variant("sync").mean_warp, 3)
-        .cell(cell.variant("async").mean_warp, 3)
-        .cell(cell.variant("age10").mean_warp, 3);
+        .cell(cell.variant("sync").mean("mean_warp"), 3)
+        .cell(cell.variant("async").mean("mean_warp"), 3)
+        .cell(cell.variant("partial", 10).mean("mean_warp"), 3);
   }
   std::cout << '\n';
   ga.print(std::cout);

@@ -212,4 +212,13 @@ BeliefNetwork make_hailfinder_like() {
   return net;
 }
 
+std::vector<NamedNetwork> table2_networks() {
+  std::vector<NamedNetwork> nets;
+  nets.push_back({"A", make_network_a()});
+  nets.push_back({"AA", make_network_aa()});
+  nets.push_back({"C", make_network_c()});
+  nets.push_back({"Hailfinder", make_hailfinder_like()});
+  return nets;
+}
+
 }  // namespace nscc::bayes

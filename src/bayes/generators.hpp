@@ -12,6 +12,8 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "bayes/network.hpp"
 
@@ -39,5 +41,15 @@ BeliefNetwork make_network_c();
 
 /// Hailfinder-like synthetic diagnostic network (see header comment).
 BeliefNetwork make_hailfinder_like();
+
+/// A belief network with the name tables print it under.
+struct NamedNetwork {
+  std::string name;
+  BeliefNetwork net;
+};
+
+/// The paper's four-network test set, in Table 2 order: A, AA, C and
+/// Hailfinder.
+std::vector<NamedNetwork> table2_networks();
 
 }  // namespace nscc::bayes

@@ -59,7 +59,7 @@ struct TaskOutcome {
 ParallelInferenceResult run_parallel_logic_sampling(
     const BeliefNetwork& net, const std::vector<Evidence>& evidence,
     const std::vector<Query>& queries, const ParallelInferenceConfig& config,
-    rt::MachineConfig machine, double loader_offered_bps) {
+    rt::MachineConfig machine) {
   const int P = config.parts;
   machine.ntasks = P;
   machine.seed = config.seed;
@@ -719,7 +719,7 @@ ParallelInferenceResult run_parallel_logic_sampling(
 
   net::LoadGenerator loader(vm.engine(), vm.bus(),
                             net::LoadGeneratorConfig{
-                                .offered_bps = loader_offered_bps,
+                                .offered_bps = config.loader_offered_bps,
                                 .frame_payload_bytes = 1024,
                                 .poisson = true,
                                 .seed = config.seed ^ 0x70adULL,

@@ -100,6 +100,6 @@ struct ParallelInferenceResult : harness::MachineStats {
 ParallelInferenceResult run_parallel_logic_sampling(
     const BeliefNetwork& net, const std::vector<Evidence>& evidence,
     const std::vector<Query>& queries, const ParallelInferenceConfig& config,
-    rt::MachineConfig machine, double loader_offered_bps = 0.0);
+    rt::MachineConfig machine);
 
 }  // namespace nscc::bayes

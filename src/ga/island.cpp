@@ -77,8 +77,7 @@ struct DemeOutcome {
 }  // namespace
 
 IslandResult run_island_ga(const IslandConfig& config,
-                           rt::MachineConfig machine,
-                           double loader_offered_bps) {
+                           rt::MachineConfig machine) {
   const TestFunction& fn = test_function(config.function_id);
   machine.ntasks = config.ndemes;
   machine.seed = config.seed;
@@ -262,7 +261,7 @@ IslandResult run_island_ga(const IslandConfig& config,
 
   net::LoadGenerator loader(vm.engine(), vm.bus(),
                             net::LoadGeneratorConfig{
-                                .offered_bps = loader_offered_bps,
+                                .offered_bps = config.loader_offered_bps,
                                 .frame_payload_bytes = 1024,
                                 .poisson = true,
                                 .seed = config.seed ^ 0x70adULL,

@@ -69,10 +69,9 @@ struct IslandResult : harness::MachineStats {
 
 /// Run one island-GA experiment on a fresh simulated machine.  `machine`
 /// supplies the network/runtime cost parameters (ntasks is overridden by
-/// config.ndemes).  A background load of `loader_offered_bps` payload bits
-/// per second is injected for loaded-network experiments (0 = unloaded).
+/// config.ndemes).  A background load of config.loader_offered_bps payload
+/// bits per second is injected for loaded-network experiments (0 = unloaded).
 IslandResult run_island_ga(const IslandConfig& config,
-                           rt::MachineConfig machine,
-                           double loader_offered_bps = 0.0);
+                           rt::MachineConfig machine);
 
 }  // namespace nscc::ga

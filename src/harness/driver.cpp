@@ -161,11 +161,7 @@ int drive(int argc, char** argv, const DriveOptions& options) {
     if (plan.partitionable()) any_partition = true;
     for (const auto& v : variants) {
       RunConfig run = base;
-      run.mode = v.mode;
-      run.age = v.age;
-      // Staleness tolerance is what licenses update coalescing (paper
-      // Sections 1-2); sync and uncontrolled async send directly.
-      run.propagation.coalesce = v.mode == dsm::Mode::kPartialAsync;
+      v.apply(run);
       // Anti-entropy heal only arms when the plan can actually split the
       // cluster, so partition-free runs stay byte-identical.
       run.propagation.partition_heal = heal && plan.partitionable();

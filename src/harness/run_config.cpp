@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "util/flags.hpp"
+
 namespace nscc::harness {
 
 MachineStats collect(const rt::VirtualMachine& vm,
@@ -97,6 +99,17 @@ std::string VariantSpec::label() const {
   return name;
 }
 
+std::string VariantSpec::tag() const {
+  if (name == "partial") return "age" + std::to_string(age);
+  return name;
+}
+
+void VariantSpec::apply(RunConfig& run) const {
+  run.mode = mode;
+  run.age = age;
+  run.propagation.coalesce = mode == dsm::Mode::kPartialAsync;
+}
+
 const std::vector<std::string>& variant_names() {
   static const std::vector<std::string> names = {"sync", "async", "partial"};
   return names;
@@ -114,12 +127,8 @@ VariantSpec make_variant(const std::string& name, dsm::Iteration partial_age) {
 std::vector<VariantSpec> parse_variants(const std::string& csv,
                                         dsm::Iteration partial_age) {
   std::vector<VariantSpec> specs;
-  std::size_t pos = 0;
-  for (;;) {
-    const auto comma = csv.find(',', pos);
-    specs.push_back(make_variant(csv.substr(pos, comma - pos), partial_age));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
+  for (const auto& name : util::split_csv(csv)) {
+    specs.push_back(make_variant(name, partial_age));
   }
   return specs;
 }

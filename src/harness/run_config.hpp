@@ -116,7 +116,8 @@ struct RunStats : MachineStats {
 
 /// One (name, mode, age) point of the paper's three-way comparison.  The
 /// canonical names — "sync", "async", "partial" — are what --variants
-/// accepts.
+/// accepts; the speedup protocol adds "serial" for its single-node
+/// baseline.
 struct VariantSpec {
   std::string name;
   dsm::Mode mode = dsm::Mode::kSynchronous;
@@ -125,6 +126,14 @@ struct VariantSpec {
   /// Human label for tables ("synchronous" / "asynchronous" /
   /// "Global_Read(age)").
   [[nodiscard]] std::string label() const;
+  /// Compact column header: the name, or "ageN" for partial.
+  [[nodiscard]] std::string tag() const;
+  /// Run `run` as this variant: set its mode and age, and coalesce
+  /// pending updates iff the variant is partial — staleness tolerance is
+  /// what licenses coalescing (paper Sections 1-2); sync and the
+  /// uncontrolled async program send directly.  The sampler and the
+  /// trainer never coalesce, so the flag is inert for them.
+  void apply(RunConfig& run) const;
 };
 
 /// The canonical variant names, in paper order.

@@ -19,8 +19,8 @@ class Flags;
 namespace nscc::harness {
 
 /// One measured cell.  `repeat` is the repetition index, or -1 when the
-/// stats aggregate over all repetitions (the exp:: cell drivers report
-/// means, not raw reps).
+/// stats aggregate over all repetitions (the speedup-protocol cells of
+/// harness/speedup.hpp report means, not raw reps).
 struct SweepRecord {
   std::string workload;
   std::string variant;

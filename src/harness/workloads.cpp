@@ -60,7 +60,7 @@ ga::IslandConfig GaIslandWorkload::build(const RunConfig& run) const {
 
 RunStats GaIslandWorkload::run(const RunConfig& run,
                                const rt::MachineConfig& machine) {
-  const auto r = ga::run_island_ga(build(run), machine, run.loader_offered_bps);
+  const auto r = ga::run_island_ga(build(run), machine);
   RunStats stats;
   static_cast<MachineStats&>(stats) = r;
   stats.quality_name = "best_fitness";
@@ -149,8 +149,7 @@ RunStats BayesSamplingWorkload::run(const RunConfig& run,
                                     const rt::MachineConfig& machine) {
   const auto net = figure1();
   const auto r = bayes::run_parallel_logic_sampling(
-      net, kFigure1Evidence, kFigure1Queries, build(run), machine,
-      run.loader_offered_bps);
+      net, kFigure1Evidence, kFigure1Queries, build(run), machine);
   RunStats stats;
   static_cast<MachineStats&>(stats) = r;
   stats.quality_name = "P(coma|cancer)";
@@ -227,8 +226,7 @@ solver::ParallelJacobiConfig JacobiWorkload::build(const RunConfig& run) const {
 RunStats JacobiWorkload::run(const RunConfig& run,
                              const rt::MachineConfig& machine) {
   const auto sys = solver::make_poisson_2d(grid, run.seed);
-  const auto r = solver::run_parallel_jacobi(sys, build(run), machine,
-                                             run.loader_offered_bps);
+  const auto r = solver::run_parallel_jacobi(sys, build(run), machine);
   RunStats stats;
   static_cast<MachineStats&>(stats) = r;
   stats.quality_name = "residual";
@@ -293,8 +291,7 @@ nn::TrainConfig NnTrainWorkload::build(const RunConfig& run) const {
 RunStats NnTrainWorkload::run(const RunConfig& run,
                               const rt::MachineConfig& machine) {
   const auto data = nn::make_two_spirals(60, 0.02, run.seed);
-  const auto r =
-      nn::train_parallel(data, build(run), machine, run.loader_offered_bps);
+  const auto r = nn::train_parallel(data, build(run), machine);
   RunStats stats;
   static_cast<MachineStats&>(stats) = r;
   stats.quality_name = "final_loss";

@@ -139,8 +139,7 @@ TrainResult train_sequential(const Dataset& data, const TrainConfig& config) {
 }
 
 TrainResult train_parallel(const Dataset& data, const TrainConfig& config,
-                           rt::MachineConfig machine,
-                           double loader_offered_bps) {
+                           rt::MachineConfig machine) {
   const int P = config.workers;
   machine.ntasks = P + 1;  // Task 0 is the parameter server.
   machine.seed = config.seed;
@@ -367,7 +366,7 @@ TrainResult train_parallel(const Dataset& data, const TrainConfig& config,
 
   net::LoadGenerator loader(vm.engine(), vm.bus(),
                             net::LoadGeneratorConfig{
-                                .offered_bps = loader_offered_bps,
+                                .offered_bps = config.loader_offered_bps,
                                 .frame_payload_bytes = 1024,
                                 .poisson = true,
                                 .seed = config.seed ^ 0x70adULL,

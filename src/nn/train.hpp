@@ -69,8 +69,7 @@ struct TrainResult : harness::MachineStats {
 };
 
 TrainResult train_parallel(const Dataset& data, const TrainConfig& config,
-                           rt::MachineConfig machine,
-                           double loader_offered_bps = 0.0);
+                           rt::MachineConfig machine);
 
 /// Single-node baseline with the same cost model (full-batch passes over
 /// the same shard schedule).

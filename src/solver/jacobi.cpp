@@ -103,8 +103,7 @@ JacobiResult run_sequential_jacobi(const LinearSystem& sys,
 
 ParallelJacobiResult run_parallel_jacobi(const LinearSystem& sys,
                                          const ParallelJacobiConfig& config,
-                                         rt::MachineConfig machine,
-                                         double loader_offered_bps) {
+                                         rt::MachineConfig machine) {
   const int n = sys.size();
   const int P = config.processors;
   machine.ntasks = P;
@@ -401,7 +400,7 @@ ParallelJacobiResult run_parallel_jacobi(const LinearSystem& sys,
 
   net::LoadGenerator loader(vm.engine(), vm.bus(),
                             net::LoadGeneratorConfig{
-                                .offered_bps = loader_offered_bps,
+                                .offered_bps = config.loader_offered_bps,
                                 .frame_payload_bytes = 1024,
                                 .poisson = true,
                                 .seed = config.seed ^ 0x70adULL,

@@ -79,7 +79,6 @@ struct ParallelJacobiResult : JacobiResult, harness::MachineStats {
 /// Row-block parallel Jacobi on a fresh simulated machine.
 ParallelJacobiResult run_parallel_jacobi(const LinearSystem& sys,
                                          const ParallelJacobiConfig& config,
-                                         rt::MachineConfig machine,
-                                         double loader_offered_bps = 0.0);
+                                         rt::MachineConfig machine);
 
 }  // namespace nscc::solver

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -17,6 +18,20 @@ std::vector<std::string> split_csv(const std::string& csv) {
     out.push_back(csv.substr(pos, comma - pos));
     if (comma == std::string::npos) break;
     pos = comma + 1;
+  }
+  return out;
+}
+
+std::vector<int> parse_int_csv(const std::string& csv) {
+  std::vector<int> out;
+  for (const auto& token : split_csv(csv)) {
+    int value = 0;
+    const char* end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+    if (token.empty() || ec != std::errc() || ptr != end) {
+      throw std::invalid_argument("'" + token + "' is not an integer");
+    }
+    out.push_back(value);
   }
   return out;
 }

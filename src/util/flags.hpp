@@ -79,4 +79,8 @@ class Flags {
 /// Split a comma-separated list into its (possibly empty) tokens.
 [[nodiscard]] std::vector<std::string> split_csv(const std::string& csv);
 
+/// Parse a comma-separated list of integers ("2,4,8").  Throws
+/// std::invalid_argument naming the first token that is not an integer.
+[[nodiscard]] std::vector<int> parse_int_csv(const std::string& csv);
+
 }  // namespace nscc::util

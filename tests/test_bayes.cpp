@@ -390,11 +390,12 @@ TEST(ParallelSampling, ReportsEdgeCutAndTraffic) {
 TEST(ParallelSampling, BackgroundLoadSlowsCompletion) {
   const auto net = nscc::bayes::make_hailfinder_like();
   const auto queries = nscc::bayes::default_queries(net, 3, 11);
-  const auto cfg = small_parallel(Mode::kSynchronous, 0);
+  auto cfg = small_parallel(Mode::kSynchronous, 0);
   const auto unloaded =
       nscc::bayes::run_parallel_logic_sampling(net, {}, queries, cfg, {});
-  const auto loaded = nscc::bayes::run_parallel_logic_sampling(
-      net, {}, queries, cfg, {}, 5e6);
+  cfg.loader_offered_bps = 5e6;
+  const auto loaded =
+      nscc::bayes::run_parallel_logic_sampling(net, {}, queries, cfg, {});
   EXPECT_GT(loaded.full_run_time, unloaded.full_run_time);
 }
 

@@ -391,7 +391,8 @@ TEST(IslandGa, PartialAsyncBoundsStaleness) {
 TEST(IslandGa, BackgroundLoadSlowsTheRun) {
   auto cfg = small_island(Mode::kSynchronous);
   const auto unloaded = run_island_ga(cfg, {});
-  const auto loaded = run_island_ga(cfg, {}, 5e6);  // 5 Mbps of 10 Mbps.
+  cfg.loader_offered_bps = 5e6;  // 5 Mbps of 10 Mbps.
+  const auto loaded = run_island_ga(cfg, {});
   EXPECT_FALSE(loaded.deadlocked);
   EXPECT_GT(loaded.completion_time, unloaded.completion_time);
   EXPECT_GT(loaded.bus_utilization, unloaded.bus_utilization);

@@ -383,6 +383,22 @@ TEST(Variants, ParseAndLabel) {
   EXPECT_EQ(variants[1].mode, dsm::Mode::kPartialAsync);
   EXPECT_EQ(variants[1].age, 10);
   EXPECT_EQ(variants[1].label(), "Global_Read(10)");
+  EXPECT_EQ(variants[0].tag(), "sync");
+  EXPECT_EQ(variants[1].tag(), "age10");
+}
+
+TEST(Variants, ApplySetsModeAgeAndCoalescesIffPartial) {
+  for (const auto& name : harness::variant_names()) {
+    const auto variant = harness::make_variant(name, 7);
+    harness::RunConfig run;
+    run.propagation.coalesce = true;
+    variant.apply(run);
+    EXPECT_EQ(run.mode, variant.mode) << name;
+    EXPECT_EQ(run.age, variant.age) << name;
+    EXPECT_EQ(run.propagation.coalesce,
+              variant.mode == dsm::Mode::kPartialAsync)
+        << name;
+  }
 }
 
 }  // namespace

@@ -6,8 +6,8 @@
 #include "bayes/generators.hpp"
 #include "bayes/parallel_sampling.hpp"
 #include "dsm/shared_space.hpp"
-#include "exp/ga_experiments.hpp"
 #include "ga/island.hpp"
+#include "harness/speedup.hpp"
 #include "nn/train.hpp"
 #include "rt/vm.hpp"
 #include "solver/jacobi.hpp"
@@ -76,7 +76,7 @@ TEST(Runtime, UnlimitedWindowNeverBlocks) {
 }
 
 TEST(Integration, GaCellOnTheSwitchRunsEndToEnd) {
-  nscc::exp::GaCellConfig cfg;
+  nscc::harness::GaCellConfig cfg;
   cfg.function_id = 2;
   cfg.processors = 4;
   cfg.generations = 30;
@@ -84,9 +84,9 @@ TEST(Integration, GaCellOnTheSwitchRunsEndToEnd) {
   cfg.ages = {5};
   cfg.seed = 3;
   cfg.machine.network = nscc::rt::Network::kSp2Switch;
-  const auto cell = nscc::exp::run_ga_cell(cfg);
+  const auto cell = nscc::harness::run_ga_cell(cfg);
   for (const auto& v : cell.variants) {
-    EXPECT_GT(v.speedup, 0.0) << v.name;
+    EXPECT_GT(v.speedup, 0.0) << v.variant.tag();
   }
 }
 

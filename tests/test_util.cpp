@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -386,6 +387,16 @@ TEST(SplitCsv, SplitsAndPreservesEmptyTokens) {
   EXPECT_EQ(split_csv("a,b,c"), (std::vector<std::string>{"a", "b", "c"}));
   EXPECT_EQ(split_csv(""), (std::vector<std::string>{""}));
   EXPECT_EQ(split_csv("a,,b"), (std::vector<std::string>{"a", "", "b"}));
+}
+
+TEST(ParseIntCsv, ParsesIntegersAndRejectsJunk) {
+  using nscc::util::parse_int_csv;
+  EXPECT_EQ(parse_int_csv("2,4,16"), (std::vector<int>{2, 4, 16}));
+  EXPECT_EQ(parse_int_csv("-1"), (std::vector<int>{-1}));
+  for (const char* bad : {"abc", "", "4,", "4,,8", "4x", " 4", "1e3",
+                          "99999999999"}) {
+    EXPECT_THROW((void)parse_int_csv(bad), std::invalid_argument) << bad;
+  }
 }
 
 }  // namespace
